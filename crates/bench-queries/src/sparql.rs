@@ -251,45 +251,74 @@ mod tests {
         }
     }
 
+    /// Runs `query` on `ds` under the default plan, the forced-nested
+    /// walk of the same plan and `run_parallel` at 1/2/4 threads,
+    /// requiring TSV `want` from each. Returns whether the default plan
+    /// compiled a merge group.
+    fn assert_every_strategy<S: hexastore::TripleStore + Sync>(
+        ds: &hexastore::Dataset<S>,
+        backing: &str,
+        query: &PaperQuery,
+        want: &str,
+    ) -> bool {
+        let plan = ds.prepare(&query.text).expect("query compiles");
+        assert_eq!(plan.run().to_tsv(), want, "{} differs on the {backing} backing", query.name);
+        let mut nested = ds.prepare(&query.text).expect("query compiles");
+        nested.force_nested_joins();
+        assert_eq!(
+            nested.run().to_tsv(),
+            want,
+            "{} differs between nested and merge execution on the {backing} backing",
+            query.name
+        );
+        for threads in [1, 2, 4] {
+            assert_eq!(
+                plan.run_parallel(ds.store(), threads).to_tsv(),
+                want,
+                "{} differs under parallel merge execution with {threads} threads \
+                 on the {backing} backing",
+                query.name
+            );
+        }
+        plan.explain().contains("join=merge")
+    }
+
     /// The acceptance bar of the merge-join executor: every paper query
     /// answers byte-identically (TSV rendering included) under the
     /// default plan (merge groups compiled where profitable), the
     /// forced-nested walk of the same plan, and parallel execution at
-    /// 1/2/4 threads — and BQ4's star (`?s type Text . ?s language
-    /// French . ?s ?p ?o`) actually compiles a merge group, so the
-    /// equivalence is not vacuous.
+    /// 1/2/4 threads — on the heap frozen store and on the same store
+    /// saved and reopened through `hex_disk::open_dataset` — and BQ4's
+    /// star (`?s type Text . ?s language French . ?s ?p ?o`) actually
+    /// compiles a merge group, so the equivalence is not vacuous.
     #[test]
     fn merge_join_answers_all_twelve_byte_identically() {
         let mut merge_seen: Vec<&str> = Vec::new();
-        for (suite, queries) in [
-            (barton_suite(), barton_queries as fn(&Dictionary) -> Option<Vec<PaperQuery>>),
-            (lubm_suite(), lubm_queries),
+        for (tag, suite, queries) in [
+            (
+                "barton",
+                barton_suite(),
+                barton_queries as fn(&Dictionary) -> Option<Vec<PaperQuery>>,
+            ),
+            ("lubm", lubm_suite(), lubm_queries),
         ] {
             let frozen = suite.frozen_dataset();
+            let path = std::env::temp_dir()
+                .join(format!("hexq-twelve-{tag}-{}.hexsnap", std::process::id()));
+            hexastore::hexsnap::save_frozen(&path, frozen.dict(), frozen.store())
+                .expect("snapshot saves");
+            let mapped = hex_disk::open_dataset(&path).expect("snapshot maps");
             for query in queries(&suite.dict).expect("constants resolve") {
-                let plan = frozen.prepare(&query.text).expect("query compiles");
-                if plan.explain().contains("join=merge") {
+                let reference = frozen.prepare(&query.text).expect("query compiles").run();
+                assert!(!reference.is_empty(), "{} returned no rows", query.name);
+                let want = reference.to_tsv();
+                if assert_every_strategy(&frozen, "heap", &query, &want) {
                     merge_seen.push(query.name);
                 }
-                let reference = plan.run();
-                assert!(!reference.is_empty(), "{} returned no rows", query.name);
-                let mut nested = frozen.prepare(&query.text).expect("query compiles");
-                nested.force_nested_joins();
-                assert_eq!(
-                    nested.run().to_tsv(),
-                    reference.to_tsv(),
-                    "{} differs between nested and merge execution",
-                    query.name
-                );
-                for threads in [1, 2, 4] {
-                    assert_eq!(
-                        plan.run_parallel(frozen.store(), threads).to_tsv(),
-                        reference.to_tsv(),
-                        "{} differs under parallel merge execution with {threads} threads",
-                        query.name
-                    );
-                }
+                assert_every_strategy(&mapped, "mapped", &query, &want);
             }
+            drop(mapped);
+            std::fs::remove_file(&path).ok();
         }
         assert!(
             merge_seen.contains(&"BQ4"),

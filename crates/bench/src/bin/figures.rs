@@ -49,6 +49,10 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
+    if args.figure != "all" && !FIGURES.iter().any(|(id, _)| *id == args.figure) {
+        let names: Vec<&str> = FIGURES.iter().map(|(id, _)| *id).chain(["all"]).collect();
+        return Err(format!("unknown figure {}; valid: {}", args.figure, names.join(", ")));
+    }
     if args.points == 0 || args.triples < 1000 || args.threads == 0 {
         return Err("need --points >= 1, --triples >= 1000 and --threads >= 1".into());
     }

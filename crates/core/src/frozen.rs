@@ -20,18 +20,22 @@
 //! runs without ever materializing the nested mutable form. The flat
 //! layout is also exactly what the [`crate::hexsnap`] binary snapshot
 //! stores, which is what makes "open a snapshot into a query-ready
-//! store" a column read instead of a six-index rebuild.
+//! store" a column read instead of a six-index rebuild — or, through
+//! [`FrozenHexastore::from_columns`] and the `hex-disk` crate, no read
+//! at all: the columns can be windows of a memory-mapped file, served
+//! by this same read path.
 
 use crate::advisor::{IndexKind, IndexSet};
 use crate::arena::ListArena;
 use crate::partial::{project, unproject, PartialHexastore};
 use crate::pattern::{IdPattern, Shape};
-use crate::slab::{FlatArena, FlatVecMap, Span};
+use crate::slab::{Column, FlatArena, FlatVecMap, Span};
 use crate::sorted;
 use crate::store::{Hexastore, SpaceStats, TwoLevel};
 use crate::traits::{SortedListAccess, TripleIter, TripleStore};
 use crate::vecmap::VecMap;
 use hex_dict::{Id, IdTriple};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One frozen ordering: a flat two-level index. `k1` maps each header to
@@ -40,16 +44,16 @@ use std::sync::Arc;
 #[derive(Clone, Default, Debug, PartialEq, Eq)]
 pub(crate) struct FrozenIndex {
     pub(crate) k1: FlatVecMap<Id, Span>,
-    pub(crate) k2: Vec<Id>,
-    pub(crate) lists: Vec<u32>,
+    pub(crate) k2: Column<Id>,
+    pub(crate) lists: Column<u32>,
 }
 
 impl FrozenIndex {
     pub(crate) fn with_capacity(headers: usize, pairs: usize) -> Self {
         FrozenIndex {
             k1: FlatVecMap::with_capacity(headers),
-            k2: Vec::with_capacity(pairs),
-            lists: Vec::with_capacity(pairs),
+            k2: Column::with_capacity(pairs),
+            lists: Column::with_capacity(pairs),
         }
     }
 
@@ -60,8 +64,8 @@ impl FrozenIndex {
 
     /// Appends one `(k2, list)` leaf to the open group.
     pub(crate) fn push_leaf(&mut self, k2: Id, list: u32) {
-        self.k2.push(k2);
-        self.lists.push(list);
+        self.k2.vec_mut().push(k2);
+        self.lists.vec_mut().push(list);
     }
 
     /// Closes a `k1` group started at `start`.
@@ -71,26 +75,24 @@ impl FrozenIndex {
         self.k1.push_sorted(k1, Span { off: start, len });
     }
 
-    /// The terminal-list index of `(k1, k2)`, by two binary searches.
-    fn list_idx(&self, k1: Id, k2: Id) -> Option<u32> {
-        let span = *self.k1.get(&k1)?;
-        let keys = &self.k2[span.range()];
-        keys.binary_search(&k2).ok().map(|i| self.lists[span.off as usize + i])
+    /// The columns as plain slices, dereferenced once — a shared column
+    /// costs a dynamic call per dereference, so a probe takes its
+    /// slices up front. `k2` and `lists` are cut to a common length.
+    fn view(&self) -> IndexView<'_> {
+        let (k2, lists): (&[Id], &[u32]) = (&self.k2, &self.lists);
+        let n = k2.len().min(lists.len());
+        IndexView {
+            keys: self.k1.keys(),
+            spans: self.k1.values(),
+            k2: &k2[..n],
+            lists: &lists[..n],
+        }
     }
 
-    /// The `(k2, list)` leaves of header `k1`, in sorted `k2` order.
-    fn division(&self, k1: Id) -> impl Iterator<Item = (Id, u32)> + '_ {
-        self.k1
-            .get(&k1)
-            .into_iter()
-            .flat_map(move |span| span.range().map(move |i| (self.k2[i], self.lists[i])))
-    }
-
-    /// Every `(k1, k2, list)` entry, in `(k1, k2)` order.
-    fn scan(&self) -> impl Iterator<Item = (Id, Id, u32)> + '_ {
-        self.k1
-            .iter()
-            .flat_map(move |(k1, span)| span.range().map(move |i| (k1, self.k2[i], self.lists[i])))
+    /// The `(k2, list)` leaves of one header's span, in stored order.
+    fn leaves(&self, span: Span) -> impl Iterator<Item = (Id, u32)> + '_ {
+        let (k2, lists) = self.view().group(span);
+        k2.iter().copied().zip(lists.iter().copied())
     }
 
     fn header_count(&self) -> usize {
@@ -102,9 +104,7 @@ impl FrozenIndex {
     }
 
     fn heap_bytes(&self) -> usize {
-        self.k1.heap_bytes()
-            + self.k2.capacity() * std::mem::size_of::<Id>()
-            + self.lists.capacity() * std::mem::size_of::<u32>()
+        self.k1.heap_bytes() + self.k2.heap_bytes() + self.lists.heap_bytes()
     }
 
     /// Reassembles an index from deserialized columns, validating the
@@ -137,12 +137,142 @@ impl FrozenIndex {
         if cursor != k2.len() || lists.iter().any(|&l| (l as usize) >= arena_lists) {
             return None;
         }
-        Some(FrozenIndex { k1, k2, lists })
+        Some(FrozenIndex { k1, k2: k2.into(), lists: lists.into() })
+    }
+}
+
+/// A [`FrozenIndex`]'s columns as plain slices (see
+/// [`FrozenIndex::view`]).
+#[derive(Clone, Copy)]
+struct IndexView<'a> {
+    keys: &'a [Id],
+    spans: &'a [Span],
+    k2: &'a [Id],
+    lists: &'a [u32],
+}
+
+impl<'a> IndexView<'a> {
+    /// The parallel `k2`/`lists` windows of one header's span, clamped
+    /// to the columns (see the trust model in [`crate::slab`]).
+    fn group(self, span: Span) -> (&'a [Id], &'a [u32]) {
+        let window = span.clamped(self.k2.len());
+        (&self.k2[window.clone()], &self.lists[window])
+    }
+}
+
+/// A binary search's hit as a one-element range, a miss as an empty one.
+fn hit(found: Result<usize, usize>) -> Range<usize> {
+    found.map_or(0..0, |i| i..i + 1)
+}
+
+/// The keys `pat` binds, in the key order of ordering `kind`, and how
+/// many positions it binds. Every ordering that serves the pattern's
+/// shape ([`crate::advisor::serving_indices`]) puts the bound positions
+/// first, so `bound` keys are a prefix of the ordering.
+fn keys_of(kind: IndexKind, pat: IdPattern) -> (usize, (Id, Id, Id)) {
+    let or0 = |x: Option<Id>| x.unwrap_or(Id(0));
+    let bound = [pat.s, pat.p, pat.o].iter().flatten().count();
+    (bound, project(kind, IdTriple::new(or0(pat.s), or0(pat.p), or0(pat.o))))
+}
+
+/// The answer of a pattern binding two or three positions, in an
+/// ordering serving it: one terminal list, narrowed to the bound item
+/// when all three are bound — two binary searches, no walk. `None` for
+/// patterns binding fewer positions.
+fn point<'a>(
+    kind: IndexKind,
+    ix: &'a FrozenIndex,
+    arena: &'a FlatArena,
+    pat: IdPattern,
+) -> Option<&'a [Id]> {
+    let (bound, (k1, k2, item)) = keys_of(kind, pat);
+    if bound < 2 {
+        return None;
+    }
+    let ix = ix.view();
+    let list = match ix.keys.binary_search(&k1).ok().and_then(|h| ix.spans.get(h)) {
+        Some(&span) => {
+            let (k2s, lists) = ix.group(span);
+            k2s.binary_search(&k2).map_or(&[][..], |i| arena.get(lists[i]))
+        }
+        None => &[],
+    };
+    Some(if bound == 3 { &list[hit(list.binary_search(&item))] } else { list })
+}
+
+/// The triple of a two- or three-bound `pat` whose free position (if
+/// any) holds `x` — how a [`point`] list's items become triples.
+fn fill(pat: IdPattern, x: Id) -> IdTriple {
+    IdTriple::new(pat.s.unwrap_or(x), pat.p.unwrap_or(x), pat.o.unwrap_or(x))
+}
+
+/// The matches of a pattern binding at most one position, in an
+/// ordering serving it, as `(k1, k2, items)` groups in the ordering's
+/// sort order: one header's division when a position is bound, every
+/// header when none is. The leaves of a header are a slice walk, so
+/// internal iteration (`sum`, `for_each`) runs as tight loops.
+fn walk<'a>(
+    kind: IndexKind,
+    ix: &'a FrozenIndex,
+    arena: &'a FlatArena,
+    pat: IdPattern,
+) -> impl Iterator<Item = (Id, Id, &'a [Id])> + 'a {
+    let (bound, (k1, _, _)) = keys_of(kind, pat);
+    debug_assert!(bound <= 1, "two- and three-bound patterns are point lookups");
+    let (ix, arena) = (ix.view(), arena.view());
+    let headers = if bound == 1 { hit(ix.keys.binary_search(&k1)) } else { 0..ix.keys.len() };
+    headers.flat_map(move |h| {
+        let (k2s, lists) = ix.group(ix.spans.get(h).copied().unwrap_or_default());
+        let k1 = ix.keys[h];
+        k2s.iter().zip(lists).map(move |(&k2, &l)| (k1, k2, arena.get(l)))
+    })
+}
+
+/// The triples of [`walk`] groups of ordering `kind`.
+fn unproject_groups<'a>(
+    kind: IndexKind,
+    groups: impl Iterator<Item = (Id, Id, &'a [Id])> + 'a,
+) -> impl Iterator<Item = IdTriple> + 'a {
+    groups.flat_map(move |(k1, k2, items)| items.iter().map(move |&x| unproject(kind, k1, k2, x)))
+}
+
+/// Every triple matching `pat` in ordering `kind`, as a cursor.
+fn triples<'a>(
+    kind: IndexKind,
+    ix: &'a FrozenIndex,
+    arena: &'a FlatArena,
+    pat: IdPattern,
+) -> TripleIter<'a> {
+    match point(kind, ix, arena, pat) {
+        Some(list) => Box::new(list.iter().map(move |&x| fill(pat, x))),
+        None => Box::new(unproject_groups(kind, walk(kind, ix, arena, pat))),
     }
 }
 
 /// One frozen index pair: primary ordering, mirror ordering, shared arena.
 pub(crate) type FrozenPair = (FrozenIndex, FrozenIndex, FlatArena);
+
+/// The columns of one terminal-list arena, as the `hexsnap` `FROZ`
+/// section stores them; input to [`FrozenHexastore::from_columns`].
+pub struct ArenaColumns {
+    /// The `(offset, len)` window of each list in `items`.
+    pub spans: Column<Span>,
+    /// Every list's sorted items, concatenated.
+    pub items: Column<Id>,
+}
+
+/// The columns of one ordering, as the `hexsnap` `FROZ` section stores
+/// them; input to [`FrozenHexastore::from_columns`].
+pub struct OrderingColumns {
+    /// Sorted header keys.
+    pub keys: Column<Id>,
+    /// Each header's window of `k2`/`lists`, parallel to `keys`.
+    pub spans: Column<Span>,
+    /// Second-level keys, ascending within each header's window.
+    pub k2: Column<Id>,
+    /// The arena list of each `(k1, k2)` leaf, parallel to `k2`.
+    pub lists: Column<u32>,
+}
 
 /// A read-only Hexastore over flat slabs.
 ///
@@ -151,8 +281,9 @@ pub(crate) type FrozenPair = (FrozenIndex, FrozenIndex, FlatArena);
 /// lookups are binary searches over key columns and terminal lists are
 /// slices of one item column — no nested vectors, no per-list heap
 /// blocks. Obtain one with [`Hexastore::freeze`], the direct bulk path
-/// [`crate::bulk::build_frozen`], or by opening a
-/// [`crate::hexsnap`] snapshot with prebuilt slab sections.
+/// [`crate::bulk::build_frozen`], by opening a [`crate::hexsnap`]
+/// snapshot with prebuilt slab sections, or over shared (for example
+/// memory-mapped) columns with [`FrozenHexastore::from_columns`].
 ///
 /// Frozen stores are immutable: [`TripleStore::insert`] and
 /// [`TripleStore::remove`] panic. Use [`FrozenHexastore::thaw`] to get an
@@ -219,20 +350,40 @@ impl FrozenHexastore {
         let (spo, pso, o_lists) = spo_pair;
         let (sop, osp, p_lists) = sop_pair;
         let (pos, ops, s_lists) = pos_pair;
-        FrozenHexastore {
-            inner: Arc::new(FrozenInner {
-                spo,
-                sop,
-                pso,
-                pos,
-                osp,
-                ops,
-                o_lists,
-                p_lists,
-                s_lists,
-                len,
-            }),
+        Self::from_raw_parts([spo, sop, pso, pos, osp, ops], [o_lists, p_lists, s_lists], len)
+    }
+
+    /// Assembles a store from slab columns — typically typed windows of
+    /// a memory-mapped `hexsnap` file — in the canonical section order:
+    /// arenas object, property, subject lists; orderings spo, sop, pso,
+    /// pos, osp, ops.
+    ///
+    /// Only O(columns) structural checks are made: every arena holds
+    /// `len` items, and parallel columns have equal lengths. The column
+    /// data is never read, so this costs the same for any store size;
+    /// the clamped readers turn data-level corruption into wrong
+    /// answers, never a panic (see the trust model in [`crate::slab`]).
+    /// [`crate::hexsnap::load_frozen`] validates fully instead.
+    pub fn from_columns(
+        len: usize,
+        arenas: [ArenaColumns; 3],
+        orderings: [OrderingColumns; 6],
+    ) -> Result<Self, &'static str> {
+        if arenas.iter().any(|a| a.items.len() != len) {
+            return Err("declared triple count disagrees with slab columns");
         }
+        if orderings.iter().any(|o| o.keys.len() != o.spans.len() || o.k2.len() != o.lists.len()) {
+            return Err("parallel ordering columns differ in length");
+        }
+        Ok(Self::from_raw_parts(
+            orderings.map(|o| FrozenIndex {
+                k1: FlatVecMap::from_columns(o.keys, o.spans),
+                k2: o.k2,
+                lists: o.lists,
+            }),
+            arenas.map(|a| FlatArena::from_columns(a.items, a.spans)),
+            len,
+        ))
     }
 
     /// The six orderings in canonical order (spo, sop, pso, pos, osp,
@@ -277,31 +428,42 @@ impl FrozenHexastore {
         }
     }
 
-    fn list<'a>(&self, ix: &'a FrozenIndex, arena: &'a FlatArena, k1: Id, k2: Id) -> &'a [Id] {
-        ix.list_idx(k1, k2).map_or(&[], |l| arena.get(l))
+    /// The ordering (and its arena) that serves `shape` in the paper's
+    /// one probe. The choice fixes the order matches come out in: spo
+    /// for everything subject-led, sop for `(s, o)`, pso for `p`, pos
+    /// for `(p, o)`, osp for `o`.
+    fn route(&self, shape: Shape) -> (IndexKind, &FrozenIndex, &FlatArena) {
+        let i = &*self.inner;
+        match shape {
+            Shape::Spo | Shape::Sp | Shape::S | Shape::None_ => {
+                (IndexKind::Spo, &i.spo, &i.o_lists)
+            }
+            Shape::So => (IndexKind::Sop, &i.sop, &i.p_lists),
+            Shape::Po => (IndexKind::Pos, &i.pos, &i.s_lists),
+            Shape::P => (IndexKind::Pso, &i.pso, &i.o_lists),
+            Shape::O => (IndexKind::Osp, &i.osp, &i.p_lists),
+        }
     }
 
-    fn division<'a>(
-        ix: &'a FrozenIndex,
-        arena: &'a FlatArena,
-        k1: Id,
-    ) -> impl Iterator<Item = (Id, &'a [Id])> + 'a {
-        ix.division(k1).map(move |(k2, l)| (k2, arena.get(l)))
+    /// [`point`] over the ordering serving `pat`.
+    fn point(&self, pat: IdPattern) -> Option<&[Id]> {
+        let (kind, ix, arena) = self.route(pat.shape());
+        point(kind, ix, arena, pat)
     }
 
     /// Sorted objects o with (s, p, o) stored — the spo/pso shared list.
     pub fn objects_for(&self, s: Id, p: Id) -> &[Id] {
-        self.list(&self.inner.spo, &self.inner.o_lists, s, p)
+        self.point(IdPattern::sp(s, p)).unwrap_or_default()
     }
 
     /// Sorted properties p with (s, p, o) stored — the sop/osp shared list.
     pub fn properties_for(&self, s: Id, o: Id) -> &[Id] {
-        self.list(&self.inner.sop, &self.inner.p_lists, s, o)
+        self.point(IdPattern::so(s, o)).unwrap_or_default()
     }
 
     /// Sorted subjects s with (s, p, o) stored — the pos/ops shared list.
     pub fn subjects_for(&self, p: Id, o: Id) -> &[Id] {
-        self.list(&self.inner.pos, &self.inner.s_lists, p, o)
+        self.point(IdPattern::po(p, o)).unwrap_or_default()
     }
 
     /// Sorted iterator over all distinct subjects.
@@ -442,54 +604,30 @@ fn thaw_pair(
     let mut arena = ListArena::with_capacity(farena.list_count());
     let mut remap: Vec<Option<crate::arena::ListId>> = vec![None; farena.list_count()];
     let mut primary = TwoLevel::with_capacity(fprimary.header_count());
-    for (k1, span) in fprimary.k1.iter() {
+    for (k1, &span) in fprimary.k1.iter() {
         let mut inner = VecMap::with_capacity(span.len());
-        for i in span.range() {
-            let flat = fprimary.lists[i];
+        for (k2, flat) in fprimary.leaves(span) {
             let lid = arena.alloc_sorted(farena.get(flat).to_vec());
-            remap[flat as usize] = Some(lid);
-            inner.push_sorted(fprimary.k2[i], lid);
+            if let Some(slot) = remap.get_mut(flat as usize) {
+                *slot = Some(lid);
+            }
+            inner.push_sorted(k2, lid);
         }
         primary.push_sorted(k1, inner);
     }
     let mut mirror = TwoLevel::with_capacity(fmirror.header_count());
-    for (k2, span) in fmirror.k1.iter() {
+    for (k2, &span) in fmirror.k1.iter() {
         let mut inner = VecMap::with_capacity(span.len());
-        for i in span.range() {
-            let lid = remap[fmirror.lists[i] as usize].expect("mirror references unknown list");
-            inner.push_sorted(fmirror.k2[i], lid);
+        // A leaf naming no primary list exists only in a corrupt mapped
+        // file; it is dropped rather than trusted.
+        for (k1, flat) in fmirror.leaves(span) {
+            if let Some(lid) = remap.get(flat as usize).copied().flatten() {
+                inner.push_sorted(k1, lid);
+            }
         }
         mirror.push_sorted(k2, inner);
     }
     (primary, mirror, arena)
-}
-
-/// Yields the `[start, start + len)` window of a concatenation of
-/// terminal lists without constructing the prefix: whole lists ahead of
-/// the window are skipped by length arithmetic alone, then at most one
-/// list is entered mid-way.
-fn window_lists<'a, K, I, F>(groups: I, make: F, start: usize, len: usize) -> TripleIter<'a>
-where
-    K: Copy + 'a,
-    I: Iterator<Item = (K, &'a [Id])> + 'a,
-    F: Fn(K, Id) -> IdTriple + Copy + 'a,
-{
-    let mut skip = start;
-    Box::new(
-        groups
-            .filter_map(move |(k, items)| {
-                if skip >= items.len() {
-                    skip -= items.len();
-                    None
-                } else {
-                    let from = skip;
-                    skip = 0;
-                    Some((k, &items[from..]))
-                }
-            })
-            .flat_map(move |(k, items)| items.iter().map(move |&item| make(k, item)))
-            .take(len),
-    )
 }
 
 impl TripleStore for FrozenHexastore {
@@ -522,190 +660,40 @@ impl TripleStore for FrozenHexastore {
     }
 
     fn for_each_matching(&self, pat: IdPattern, f: &mut dyn FnMut(IdTriple)) {
-        // Direct loops mirroring the mutable store's dispatch — the
-        // visitor path must not pay the cursor's boxing and per-triple
-        // dynamic dispatch on the store built for fast reads.
-        match pat.shape() {
-            Shape::Spo => {
-                let t = IdTriple::new(pat.s.unwrap(), pat.p.unwrap(), pat.o.unwrap());
-                if self.contains(t) {
-                    f(t);
-                }
-            }
-            Shape::Sp => {
-                let (s, p) = (pat.s.unwrap(), pat.p.unwrap());
-                for &o in self.objects_for(s, p) {
-                    f(IdTriple::new(s, p, o));
-                }
-            }
-            Shape::So => {
-                let (s, o) = (pat.s.unwrap(), pat.o.unwrap());
-                for &p in self.properties_for(s, o) {
-                    f(IdTriple::new(s, p, o));
-                }
-            }
-            Shape::Po => {
-                let (p, o) = (pat.p.unwrap(), pat.o.unwrap());
-                for &s in self.subjects_for(p, o) {
-                    f(IdTriple::new(s, p, o));
-                }
-            }
-            Shape::S => {
-                let s = pat.s.unwrap();
-                for (p, objs) in Self::division(&self.inner.spo, &self.inner.o_lists, s) {
-                    for &o in objs {
-                        f(IdTriple::new(s, p, o));
-                    }
-                }
-            }
-            Shape::P => {
-                let p = pat.p.unwrap();
-                for (s, objs) in Self::division(&self.inner.pso, &self.inner.o_lists, p) {
-                    for &o in objs {
-                        f(IdTriple::new(s, p, o));
-                    }
-                }
-            }
-            Shape::O => {
-                let o = pat.o.unwrap();
-                for (s, props) in Self::division(&self.inner.osp, &self.inner.p_lists, o) {
-                    for &p in props {
-                        f(IdTriple::new(s, p, o));
-                    }
-                }
-            }
-            Shape::None_ => {
-                for (s, p, l) in self.inner.spo.scan() {
-                    for &o in self.inner.o_lists.get(l) {
-                        f(IdTriple::new(s, p, o));
-                    }
-                }
-            }
+        // Direct loops — the visitor path must not pay the cursor's
+        // boxing and per-triple dynamic dispatch on the store built for
+        // fast reads.
+        let (kind, ix, arena) = self.route(pat.shape());
+        match point(kind, ix, arena, pat) {
+            Some(list) => list.iter().for_each(|&x| f(fill(pat, x))),
+            None => walk(kind, ix, arena, pat).for_each(|(k1, k2, items)| {
+                items.iter().for_each(|&x| f(unproject(kind, k1, k2, x)))
+            }),
         }
     }
 
     fn iter_matching(&self, pat: IdPattern) -> TripleIter<'_> {
-        match pat.shape() {
-            Shape::Spo => {
-                let t = IdTriple::new(pat.s.unwrap(), pat.p.unwrap(), pat.o.unwrap());
-                Box::new(self.contains(t).then_some(t).into_iter())
-            }
-            Shape::Sp => {
-                let (s, p) = (pat.s.unwrap(), pat.p.unwrap());
-                Box::new(self.objects_for(s, p).iter().map(move |&o| IdTriple::new(s, p, o)))
-            }
-            Shape::So => {
-                let (s, o) = (pat.s.unwrap(), pat.o.unwrap());
-                Box::new(self.properties_for(s, o).iter().map(move |&p| IdTriple::new(s, p, o)))
-            }
-            Shape::Po => {
-                let (p, o) = (pat.p.unwrap(), pat.o.unwrap());
-                Box::new(self.subjects_for(p, o).iter().map(move |&s| IdTriple::new(s, p, o)))
-            }
-            Shape::S => {
-                let s = pat.s.unwrap();
-                Box::new(
-                    Self::division(&self.inner.spo, &self.inner.o_lists, s).flat_map(
-                        move |(p, objs)| objs.iter().map(move |&o| IdTriple::new(s, p, o)),
-                    ),
-                )
-            }
-            Shape::P => {
-                let p = pat.p.unwrap();
-                Box::new(
-                    Self::division(&self.inner.pso, &self.inner.o_lists, p).flat_map(
-                        move |(s, objs)| objs.iter().map(move |&o| IdTriple::new(s, p, o)),
-                    ),
-                )
-            }
-            Shape::O => {
-                let o = pat.o.unwrap();
-                Box::new(
-                    Self::division(&self.inner.osp, &self.inner.p_lists, o).flat_map(
-                        move |(s, props)| props.iter().map(move |&p| IdTriple::new(s, p, o)),
-                    ),
-                )
-            }
-            Shape::None_ => Box::new(self.inner.spo.scan().flat_map(move |(s, p, l)| {
-                self.inner.o_lists.get(l).iter().map(move |&o| IdTriple::new(s, p, o))
-            })),
-        }
+        let (kind, ix, arena) = self.route(pat.shape());
+        triples(kind, ix, arena, pat)
     }
 
-    /// The flat layout makes a range start an offset computation: bound
-    /// shapes slice their terminal list directly, and division/scan
-    /// shapes skip whole lists by length arithmetic before yielding a
-    /// single partial slice — no triple ahead of `start` is ever
-    /// constructed.
+    /// The flat layout makes a range start an offset computation: a
+    /// point lookup slices its list, and a walk skips whole terminal
+    /// lists ahead of `start` by length arithmetic, entering at most one
+    /// mid-way — no triple ahead of `start` is ever constructed.
     fn iter_matching_range(&self, pat: IdPattern, start: usize, end: usize) -> TripleIter<'_> {
-        let len = end.saturating_sub(start);
-        if len == 0 {
-            return Box::new(std::iter::empty());
+        let (kind, ix, arena) = self.route(pat.shape());
+        if let Some(list) = point(kind, ix, arena, pat) {
+            let hi = end.min(list.len());
+            return Box::new(list[start.min(hi)..hi].iter().map(move |&x| fill(pat, x)));
         }
-        fn slice(items: &[Id], start: usize, end: usize) -> &[Id] {
-            let hi = end.min(items.len());
-            &items[start.min(hi)..hi]
-        }
-        match pat.shape() {
-            Shape::Spo => Box::new(self.iter_matching(pat).skip(start).take(len)),
-            Shape::Sp => {
-                let (s, p) = (pat.s.unwrap(), pat.p.unwrap());
-                Box::new(
-                    slice(self.objects_for(s, p), start, end)
-                        .iter()
-                        .map(move |&o| IdTriple::new(s, p, o)),
-                )
-            }
-            Shape::So => {
-                let (s, o) = (pat.s.unwrap(), pat.o.unwrap());
-                Box::new(
-                    slice(self.properties_for(s, o), start, end)
-                        .iter()
-                        .map(move |&p| IdTriple::new(s, p, o)),
-                )
-            }
-            Shape::Po => {
-                let (p, o) = (pat.p.unwrap(), pat.o.unwrap());
-                Box::new(
-                    slice(self.subjects_for(p, o), start, end)
-                        .iter()
-                        .map(move |&s| IdTriple::new(s, p, o)),
-                )
-            }
-            Shape::S => {
-                let s = pat.s.unwrap();
-                window_lists(
-                    Self::division(&self.inner.spo, &self.inner.o_lists, s),
-                    move |p, o| IdTriple::new(s, p, o),
-                    start,
-                    len,
-                )
-            }
-            Shape::P => {
-                let p = pat.p.unwrap();
-                window_lists(
-                    Self::division(&self.inner.pso, &self.inner.o_lists, p),
-                    move |s, o| IdTriple::new(s, p, o),
-                    start,
-                    len,
-                )
-            }
-            Shape::O => {
-                let o = pat.o.unwrap();
-                window_lists(
-                    Self::division(&self.inner.osp, &self.inner.p_lists, o),
-                    move |s, p| IdTriple::new(s, p, o),
-                    start,
-                    len,
-                )
-            }
-            Shape::None_ => window_lists(
-                self.inner.spo.scan().map(|(s, p, l)| ((s, p), self.inner.o_lists.get(l))),
-                move |(s, p), o| IdTriple::new(s, p, o),
-                start,
-                len,
-            ),
-        }
+        let mut skip = start;
+        let windowed = walk(kind, ix, arena, pat).filter_map(move |(k1, k2, items)| {
+            let from = skip.min(items.len());
+            skip -= from;
+            (from < items.len()).then(|| (k1, k2, &items[from..]))
+        });
+        Box::new(unproject_groups(kind, windowed).take(end.saturating_sub(start)))
     }
 
     fn capabilities(&self) -> IndexSet {
@@ -714,24 +702,14 @@ impl TripleStore for FrozenHexastore {
 
     fn count_matching(&self, pat: IdPattern) -> usize {
         match pat.shape() {
-            Shape::Spo => usize::from(self.contains(IdTriple::new(
-                pat.s.unwrap(),
-                pat.p.unwrap(),
-                pat.o.unwrap(),
-            ))),
-            Shape::Sp => self.objects_for(pat.s.unwrap(), pat.p.unwrap()).len(),
-            Shape::So => self.properties_for(pat.s.unwrap(), pat.o.unwrap()).len(),
-            Shape::Po => self.subjects_for(pat.p.unwrap(), pat.o.unwrap()).len(),
-            Shape::S => Self::division(&self.inner.spo, &self.inner.o_lists, pat.s.unwrap())
-                .map(|(_, l)| l.len())
-                .sum(),
-            Shape::P => Self::division(&self.inner.pso, &self.inner.o_lists, pat.p.unwrap())
-                .map(|(_, l)| l.len())
-                .sum(),
-            Shape::O => Self::division(&self.inner.osp, &self.inner.p_lists, pat.o.unwrap())
-                .map(|(_, l)| l.len())
-                .sum(),
             Shape::None_ => self.inner.len,
+            _ => {
+                let (kind, ix, arena) = self.route(pat.shape());
+                point(kind, ix, arena, pat).map_or_else(
+                    || walk(kind, ix, arena, pat).map(|(_, _, items)| items.len()).sum(),
+                    <[Id]>::len,
+                )
+            }
         }
     }
 
@@ -747,13 +725,13 @@ impl TripleStore for FrozenHexastore {
 
 impl SortedListAccess for FrozenHexastore {
     fn sorted_list(&self, pat: IdPattern) -> Option<&[Id]> {
-        match pat.shape() {
-            Shape::Sp => Some(self.objects_for(pat.s.unwrap(), pat.p.unwrap())),
-            Shape::So => Some(self.properties_for(pat.s.unwrap(), pat.o.unwrap())),
-            Shape::Po => Some(self.subjects_for(pat.p.unwrap(), pat.o.unwrap())),
-            _ => None,
-        }
+        two_bound(pat).then(|| self.point(pat)).flatten()
     }
+}
+
+/// True for the shapes whose matches are one terminal list.
+fn two_bound(pat: IdPattern) -> bool {
+    matches!(pat.shape(), Shape::Sp | Shape::So | Shape::Po)
 }
 
 /// The frozen form of a [`PartialHexastore`]: only the kept orderings,
@@ -817,10 +795,10 @@ impl FrozenPartialHexastore {
             .iter()
             .map(|(kind, ix, arena)| {
                 let mut map: crate::partial::OrderingMap = VecMap::with_capacity(ix.header_count());
-                for (k1, span) in ix.k1.iter() {
+                for (k1, &span) in ix.k1.iter() {
                     let mut inner = VecMap::with_capacity(span.len());
-                    for i in span.range() {
-                        inner.push_sorted(ix.k2[i], arena.get(ix.lists[i]).to_vec());
+                    for (k2, l) in ix.leaves(span) {
+                        inner.push_sorted(k2, arena.get(l).to_vec());
                     }
                     map.push_sorted(k1, inner);
                 }
@@ -836,20 +814,6 @@ impl FrozenPartialHexastore {
             .iter()
             .find(|k| self.keep.contains(*k))
             .and_then(|k| self.orderings.iter().find(|(kind, _, _)| *kind == k))
-    }
-
-    fn any_ordering(&self) -> &(IndexKind, FrozenIndex, FlatArena) {
-        &self.orderings[0]
-    }
-
-    fn scan_ordering<'a>(
-        kind: IndexKind,
-        ix: &'a FrozenIndex,
-        arena: &'a FlatArena,
-    ) -> impl Iterator<Item = IdTriple> + 'a {
-        ix.scan().flat_map(move |(k1, k2, l)| {
-            arena.get(l).iter().map(move |&item| unproject(kind, k1, k2, item))
-        })
     }
 }
 
@@ -879,9 +843,8 @@ impl TripleStore for FrozenPartialHexastore {
     }
 
     fn contains(&self, t: IdTriple) -> bool {
-        let (kind, ix, arena) = self.any_ordering();
-        let (k1, k2, item) = project(*kind, t);
-        sorted::contains(ix.list_idx(k1, k2).map_or(&[], |l| arena.get(l)), &item)
+        let (kind, ix, arena) = &self.orderings[0];
+        point(*kind, ix, arena, IdPattern::spo(t)).is_some_and(|l| !l.is_empty())
     }
 
     fn for_each_matching(&self, pat: IdPattern, f: &mut dyn FnMut(IdTriple)) {
@@ -894,48 +857,14 @@ impl TripleStore for FrozenPartialHexastore {
     }
 
     fn iter_matching(&self, pat: IdPattern) -> TripleIter<'_> {
-        let shape = pat.shape();
-        match shape {
-            Shape::Spo => {
-                let t = IdTriple::new(pat.s.unwrap(), pat.p.unwrap(), pat.o.unwrap());
-                Box::new(self.contains(t).then_some(t).into_iter())
+        match self.server_for(pat.shape()) {
+            Some((kind, ix, arena)) => triples(*kind, ix, arena, pat),
+            None => {
+                // Degraded path: lazily filter a full scan of any kept
+                // ordering.
+                let (kind, ix, arena) = &self.orderings[0];
+                Box::new(triples(*kind, ix, arena, IdPattern::ALL).filter(move |&t| pat.matches(t)))
             }
-            Shape::None_ => {
-                let (kind, ix, arena) = self.any_ordering();
-                Box::new(Self::scan_ordering(*kind, ix, arena))
-            }
-            _ => match self.server_for(shape) {
-                Some((kind, ix, arena)) => {
-                    let kind = *kind;
-                    let probe = IdTriple::new(
-                        pat.s.unwrap_or(Id(0)),
-                        pat.p.unwrap_or(Id(0)),
-                        pat.o.unwrap_or(Id(0)),
-                    );
-                    let (k1, k2, _) = project(kind, probe);
-                    match shape {
-                        // Two bound positions: a terminal-list probe.
-                        Shape::Sp | Shape::So | Shape::Po => Box::new(
-                            ix.list_idx(k1, k2)
-                                .map_or(&[][..], |l| arena.get(l))
-                                .iter()
-                                .map(move |&item| unproject(kind, k1, k2, item)),
-                        ),
-                        // One bound position: a division walk.
-                        Shape::S | Shape::P | Shape::O => {
-                            Box::new(ix.division(k1).flat_map(move |(k2, l)| {
-                                arena.get(l).iter().map(move |&item| unproject(kind, k1, k2, item))
-                            }))
-                        }
-                        Shape::Spo | Shape::None_ => unreachable!("handled above"),
-                    }
-                }
-                None => {
-                    // Degraded path: lazily filter a full scan.
-                    let (kind, ix, arena) = self.any_ordering();
-                    Box::new(Self::scan_ordering(*kind, ix, arena).filter(move |&t| pat.matches(t)))
-                }
-            },
         }
     }
 
@@ -954,18 +883,14 @@ impl TripleStore for FrozenPartialHexastore {
 
 impl SortedListAccess for FrozenPartialHexastore {
     fn sorted_list(&self, pat: IdPattern) -> Option<&[Id]> {
-        let shape = pat.shape();
-        if !matches!(shape, Shape::Sp | Shape::So | Shape::Po) {
+        if !two_bound(pat) {
             return None;
         }
         // Any kept serving ordering works: a two-bound probe's terminal
         // list holds the unbound position's values, sorted, whichever of
         // the shape's serving orderings materialized it.
-        let (kind, ix, arena) = self.server_for(shape)?;
-        let probe =
-            IdTriple::new(pat.s.unwrap_or(Id(0)), pat.p.unwrap_or(Id(0)), pat.o.unwrap_or(Id(0)));
-        let (k1, k2, _) = project(*kind, probe);
-        Some(ix.list_idx(k1, k2).map_or(&[][..], |l| arena.get(l)))
+        let (kind, ix, arena) = self.server_for(pat.shape())?;
+        point(*kind, ix, arena, pat)
     }
 }
 
@@ -1033,10 +958,11 @@ mod tests {
         // (s=1, p=2) reachable via spo and pso is the same column window.
         let frozen = Hexastore::from_triples(sample()).freeze();
         let via_spo = frozen.objects_for(Id(1), Id(2));
-        let via_pso = frozen.inner.spo.list_idx(Id(1), Id(2)).unwrap();
-        let mirror = frozen.inner.pso.list_idx(Id(2), Id(1)).unwrap();
+        let inner = &*frozen.inner;
+        let pat = IdPattern::sp(Id(1), Id(2));
+        let via_pso = point(IndexKind::Pso, &inner.pso, &inner.o_lists, pat).unwrap();
         assert_eq!(via_spo, &[Id(3), Id(4)]);
-        assert_eq!(via_pso, mirror, "pair orderings must reference one list");
+        assert!(std::ptr::eq(via_spo, via_pso), "pair orderings must reference one list");
         // Total items per pair equals the triple count, not double.
         assert_eq!(frozen.inner.o_lists.total_items(), frozen.len());
     }
@@ -1110,6 +1036,63 @@ mod tests {
             frozen.inner.o_lists.items_raw().as_ptr(),
             clone.inner.o_lists.items_raw().as_ptr()
         ));
+    }
+
+    /// The store's slab columns, copied into shared providers — the
+    /// shape `hex-disk` hands over, minus the mapping.
+    fn shared_columns(frozen: &FrozenHexastore) -> ([ArenaColumns; 3], [OrderingColumns; 6]) {
+        fn share<T: Clone + Send + Sync + 'static>(col: &[T]) -> Column<T> {
+            Column::Shared(Arc::new(col.to_vec()))
+        }
+        let arenas = frozen
+            .arenas()
+            .map(|a| ArenaColumns { spans: share(a.spans_raw()), items: share(a.items_raw()) });
+        let orderings = frozen.orderings().map(|ix| OrderingColumns {
+            keys: share(ix.k1.keys()),
+            spans: share(ix.k1.values()),
+            k2: share(&ix.k2),
+            lists: share(&ix.lists),
+        });
+        (arenas, orderings)
+    }
+
+    #[test]
+    fn shared_columns_serve_the_same_read_path() {
+        let frozen = Hexastore::from_triples(sample()).freeze();
+        let (arenas, orderings) = shared_columns(&frozen);
+        let shared = FrozenHexastore::from_columns(frozen.len(), arenas, orderings).unwrap();
+        assert_eq!(shared, frozen);
+        assert_eq!(shared.heap_bytes(), 0, "shared columns are not this store's heap");
+        for pat in all_patterns(&sample()) {
+            assert_eq!(shared.matching(pat), frozen.matching(pat), "{pat:?}");
+            assert_eq!(shared.count_matching(pat), frozen.count_matching(pat), "{pat:?}");
+        }
+        assert_eq!(shared.thaw().matching(IdPattern::ALL), frozen.matching(IdPattern::ALL));
+        // Structural checks: the declared length must match every arena.
+        let (arenas, orderings) = shared_columns(&frozen);
+        assert!(FrozenHexastore::from_columns(frozen.len() + 1, arenas, orderings).is_err());
+    }
+
+    #[test]
+    fn corrupt_columns_read_as_wrong_answers_never_panics() {
+        // Every span, list index and key points somewhere hostile: past
+        // the end of its column, at u32::MAX, or into the wrong group.
+        let frozen = Hexastore::from_triples(sample()).freeze();
+        let (mut arenas, mut orderings) = shared_columns(&frozen);
+        let bad = Span { off: u32::MAX - 1, len: 7 };
+        arenas[0].spans = Column::Owned(vec![bad, Span { off: 2, len: u32::MAX }]);
+        orderings[0].spans = Column::Owned(vec![bad; orderings[0].keys.len()]);
+        orderings[2].lists = Column::Owned(vec![u32::MAX; orderings[2].k2.len()]);
+        orderings[4].keys = Column::Owned(vec![Id(u32::MAX); orderings[4].keys.len()]);
+        let corrupt = FrozenHexastore::from_columns(frozen.len(), arenas, orderings).unwrap();
+        for pat in all_patterns(&sample()) {
+            let n = corrupt.iter_matching(pat).count();
+            corrupt.for_each_matching(pat, &mut |_| {});
+            let _ = corrupt.iter_matching_range(pat, n / 2, n).count();
+            let _ = corrupt.count_matching(pat);
+            let _ = corrupt.sorted_list(pat);
+        }
+        let _ = corrupt.space_stats();
     }
 
     #[test]

@@ -838,9 +838,9 @@ fn encode_frozen_payload(store: &FrozenHexastore) -> Vec<u8> {
         }
         encode_sorted_run(&mut p, ix.k1.keys());
         for (_, span) in ix.k1.iter() {
-            encode_sorted_run(&mut p, &ix.k2[span.range()]);
+            encode_sorted_run(&mut p, &ix.k2[span.clamped(ix.k2.len())]);
         }
-        for &l in &ix.lists {
+        for &l in ix.lists.iter() {
             put_uvarint(&mut p, u64::from(l));
         }
     }

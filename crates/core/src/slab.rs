@@ -9,15 +9,126 @@
 //! - is what the [`crate::FrozenHexastore`] queries directly (zero
 //!   per-list allocations, cache-linear scans),
 //! - is exactly what the `hexsnap` on-disk format stores, so a snapshot
-//!   section can be read straight into a query-ready slab.
+//!   section can be read straight into a query-ready slab, or borrowed
+//!   in place from a mapped file.
 //!
-//! Two building blocks live here: [`FlatArena`] (the frozen counterpart
-//! of [`crate::ListArena`]: one item column plus a span table) and
-//! [`FlatVecMap`] (the frozen counterpart of [`crate::VecMap`]: a sorted
-//! key column parallel to a value column).
+//! Three building blocks live here: [`Column`] (one slab column, owned
+//! or borrowed from shared storage), [`FlatArena`] (the frozen
+//! counterpart of [`crate::ListArena`]: one item column plus a span
+//! table) and [`FlatVecMap`] (the frozen counterpart of
+//! [`crate::VecMap`]: a sorted key column parallel to a value column).
+//!
+//! # Trust model
+//!
+//! Columns built in memory, or read through the validating
+//! [`crate::hexsnap`] loader, satisfy every data-level invariant:
+//! sorted keys, spans that tile their columns, list indices in range.
+//! Columns borrowed from a mapped file are only checked structurally
+//! when opened — extents, counts and alignment, O(sections) — because
+//! walking the data would fault in the whole file. So every read helper
+//! clamps: a span past the end of its column ([`Span::clamped`]), a
+//! list index past the span table ([`FlatArena::get`]) or a key without
+//! a value ([`FlatVecMap::get`]) reads as a short or empty window. A
+//! corrupt mapped file then gives wrong answers, never undefined
+//! behavior or a panic.
 
 use crate::sorted;
 use hex_dict::Id;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
+
+/// Shared, read-only storage for one column: anything that can lend a
+/// `[T]` and be shared across threads — for example a typed window of
+/// a memory-mapped file. The same trick as [`hex_dict::SharedBytes`].
+pub type SharedColumn<T> = Arc<dyn AsRef<[T]> + Send + Sync>;
+
+/// One slab column: an owned vector that builders fill, or a window of
+/// shared storage that is only read. Dereferences to `[T]` either way,
+/// so the query code never knows which backing it runs over.
+pub enum Column<T> {
+    /// A heap column, filled by the builders and the snapshot reader.
+    Owned(Vec<T>),
+    /// A borrowed column; its bytes live (and are freed) elsewhere.
+    Shared(SharedColumn<T>),
+}
+
+impl<T> Column<T> {
+    /// An empty owned column with room for `n` entries.
+    pub fn with_capacity(n: usize) -> Self {
+        Column::Owned(Vec::with_capacity(n))
+    }
+
+    /// Heap bytes owned by this column: zero for a shared window, whose
+    /// storage (the page cache, for a mapping) belongs to the provider.
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            Column::Owned(v) => v.capacity() * std::mem::size_of::<T>(),
+            Column::Shared(_) => 0,
+        }
+    }
+}
+
+impl<T: Clone> Column<T> {
+    /// The column as a growable vector, copying a shared window out
+    /// first (once).
+    pub(crate) fn vec_mut(&mut self) -> &mut Vec<T> {
+        if let Column::Shared(shared) = self {
+            *self = Column::Owned((**shared).as_ref().to_vec());
+        }
+        match self {
+            Column::Owned(v) => v,
+            Column::Shared(_) => unreachable!("converted to owned above"),
+        }
+    }
+}
+
+impl<T> Deref for Column<T> {
+    type Target = [T];
+
+    #[inline]
+    fn deref(&self) -> &[T] {
+        match self {
+            Column::Owned(v) => v,
+            Column::Shared(shared) => (**shared).as_ref(),
+        }
+    }
+}
+
+impl<T> Default for Column<T> {
+    fn default() -> Self {
+        Column::Owned(Vec::new())
+    }
+}
+
+impl<T> From<Vec<T>> for Column<T> {
+    fn from(v: Vec<T>) -> Self {
+        Column::Owned(v)
+    }
+}
+
+impl<T: Clone> Clone for Column<T> {
+    /// A shared window clones as a reference-count bump.
+    fn clone(&self) -> Self {
+        match self {
+            Column::Owned(v) => Column::Owned(v.clone()),
+            Column::Shared(shared) => Column::Shared(Arc::clone(shared)),
+        }
+    }
+}
+
+impl<T: PartialEq> PartialEq for Column<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: Eq> Eq for Column<T> {}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for Column<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
 
 /// A contiguous `(offset, len)` window into a flat column.
 ///
@@ -43,8 +154,17 @@ impl Span {
     /// The end is computed in `usize` so a hostile `off + len` near
     /// `u32::MAX` cannot wrap to a small (and wrong) window.
     #[inline]
-    pub fn range(self) -> std::ops::Range<usize> {
+    pub fn range(self) -> Range<usize> {
         self.off as usize..self.off as usize + self.len as usize
+    }
+
+    /// The window as a range clamped to a column of `n` entries: a span
+    /// reaching past the end yields a short (possibly empty) window
+    /// instead of an out-of-bounds slice.
+    #[inline]
+    pub fn clamped(self, n: usize) -> Range<usize> {
+        let end = self.range().end.min(n);
+        (self.off as usize).min(end)..end
     }
 
     /// Number of entries in the window.
@@ -69,8 +189,8 @@ impl Span {
 /// list: a `FlatArena` is built once, in final order, and then only read.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct FlatArena {
-    items: Vec<Id>,
-    spans: Vec<Span>,
+    items: Column<Id>,
+    spans: Column<Span>,
 }
 
 impl FlatArena {
@@ -83,28 +203,39 @@ impl FlatArena {
     /// `items` entries in total. Frozen builders count first, so appends
     /// never reallocate.
     pub fn with_capacity(lists: usize, items: usize) -> Self {
-        FlatArena { items: Vec::with_capacity(items), spans: Vec::with_capacity(lists) }
+        FlatArena { items: Column::with_capacity(items), spans: Column::with_capacity(lists) }
     }
 
     /// Appends one list, returning its index in the span table. The items
     /// must form a non-empty, strictly sorted run (checked in debug
     /// builds).
     pub fn push_list(&mut self, items: impl IntoIterator<Item = Id>) -> u32 {
-        let off = u32::try_from(self.items.len()).expect("flat arena overflow: 2^32 items");
-        self.items.extend(items);
-        let len = u32::try_from(self.items.len() - off as usize)
+        let column = self.items.vec_mut();
+        let off = u32::try_from(column.len()).expect("flat arena overflow: 2^32 items");
+        column.extend(items);
+        let len = u32::try_from(column.len() - off as usize)
             .expect("flat arena overflow: list longer than 2^32");
         debug_assert!(len > 0, "terminal lists are never empty");
-        debug_assert!(sorted::is_sorted_set(&self.items[off as usize..]));
-        let idx = u32::try_from(self.spans.len()).expect("flat arena overflow: 2^32 lists");
-        self.spans.push(Span { off, len });
+        debug_assert!(sorted::is_sorted_set(&column[off as usize..]));
+        let spans = self.spans.vec_mut();
+        let idx = u32::try_from(spans.len()).expect("flat arena overflow: 2^32 lists");
+        spans.push(Span { off, len });
         idx
     }
 
-    /// The sorted items of list `idx`.
+    /// The sorted items of list `idx`, clamped: an index past the span
+    /// table reads as an empty list (see the module's trust model).
     #[inline]
     pub fn get(&self, idx: u32) -> &[Id] {
-        &self.items[self.spans[idx as usize].range()]
+        self.view().get(idx)
+    }
+
+    /// Both columns, dereferenced once — for read paths that fetch many
+    /// lists, since each dereference of a shared column is a dynamic
+    /// call.
+    #[inline]
+    pub(crate) fn view(&self) -> ArenaView<'_> {
+        ArenaView { items: &self.items, spans: &self.spans }
     }
 
     /// Number of lists.
@@ -119,8 +250,7 @@ impl FlatArena {
 
     /// Heap bytes of the item column and the span table.
     pub fn heap_bytes(&self) -> usize {
-        self.items.capacity() * std::mem::size_of::<Id>()
-            + self.spans.capacity() * std::mem::size_of::<Span>()
+        self.items.heap_bytes() + self.spans.heap_bytes()
     }
 
     /// The raw item column, in span order (for serialization).
@@ -147,7 +277,29 @@ impl FlatArena {
         }) {
             return None;
         }
-        Some(FlatArena { items, spans })
+        Some(FlatArena::from_columns(items.into(), spans.into()))
+    }
+
+    /// Assembles an arena from columns without looking at their data —
+    /// the mapped path, which relies on the clamped readers instead.
+    pub(crate) fn from_columns(items: Column<Id>, spans: Column<Span>) -> Self {
+        FlatArena { items, spans }
+    }
+}
+
+/// A [`FlatArena`]'s columns as plain slices (see [`FlatArena::view`]).
+#[derive(Clone, Copy)]
+pub(crate) struct ArenaView<'a> {
+    items: &'a [Id],
+    spans: &'a [Span],
+}
+
+impl<'a> ArenaView<'a> {
+    /// [`FlatArena::get`] over the borrowed slices.
+    #[inline]
+    pub(crate) fn get(self, idx: u32) -> &'a [Id] {
+        let items = self.items;
+        self.spans.get(idx as usize).map_or(&[], |span| &items[span.clamped(items.len())])
     }
 }
 
@@ -168,13 +320,13 @@ impl std::fmt::Debug for FlatArena {
 /// cache lines, and each column serializes as one contiguous array.
 #[derive(Clone, PartialEq, Eq)]
 pub struct FlatVecMap<K, V> {
-    keys: Vec<K>,
-    vals: Vec<V>,
+    keys: Column<K>,
+    vals: Column<V>,
 }
 
 impl<K, V> Default for FlatVecMap<K, V> {
     fn default() -> Self {
-        FlatVecMap { keys: Vec::new(), vals: Vec::new() }
+        FlatVecMap { keys: Column::default(), vals: Column::default() }
     }
 }
 
@@ -186,7 +338,7 @@ impl<K: Ord + Copy, V> FlatVecMap<K, V> {
 
     /// Creates an empty map with exact room for `n` entries.
     pub fn with_capacity(n: usize) -> Self {
-        FlatVecMap { keys: Vec::with_capacity(n), vals: Vec::with_capacity(n) }
+        FlatVecMap { keys: Column::with_capacity(n), vals: Column::with_capacity(n) }
     }
 
     /// Number of entries.
@@ -201,18 +353,22 @@ impl<K: Ord + Copy, V> FlatVecMap<K, V> {
         self.keys.is_empty()
     }
 
-    /// Looks up a key by binary search over the key column.
+    /// Looks up a key by binary search over the key column. A key
+    /// without a value (a short value column) reads as absent.
     #[inline]
     pub fn get(&self, key: &K) -> Option<&V> {
-        self.keys.binary_search(key).ok().map(|i| &self.vals[i])
+        self.keys.binary_search(key).ok().and_then(|i| self.vals.get(i))
     }
 
     /// Appends an entry whose key must be greater than all existing keys
     /// (checked in debug builds) — the only way to grow a flat map.
-    pub fn push_sorted(&mut self, key: K, value: V) {
+    pub fn push_sorted(&mut self, key: K, value: V)
+    where
+        V: Clone,
+    {
         debug_assert!(self.keys.last().is_none_or(|k| *k < key));
-        self.keys.push(key);
-        self.vals.push(value);
+        self.keys.vec_mut().push(key);
+        self.vals.vec_mut().push(value);
     }
 
     /// Sorted iteration over `(key, &value)`.
@@ -232,8 +388,7 @@ impl<K: Ord + Copy, V> FlatVecMap<K, V> {
 
     /// Heap bytes of both columns.
     pub fn heap_bytes(&self) -> usize {
-        self.keys.capacity() * std::mem::size_of::<K>()
-            + self.vals.capacity() * std::mem::size_of::<V>()
+        self.keys.heap_bytes() + self.vals.heap_bytes()
     }
 
     /// Reassembles a map from its raw columns. The columns must have equal
@@ -243,7 +398,13 @@ impl<K: Ord + Copy, V> FlatVecMap<K, V> {
         if keys.len() != vals.len() || keys.windows(2).any(|w| w[0] >= w[1]) {
             return None;
         }
-        Some(FlatVecMap { keys, vals })
+        Some(FlatVecMap::from_columns(keys.into(), vals.into()))
+    }
+
+    /// Assembles a map from columns without looking at their data (see
+    /// [`FlatArena::from_columns`]).
+    pub(crate) fn from_columns(keys: Column<K>, vals: Column<V>) -> Self {
+        FlatVecMap { keys, vals }
     }
 }
 
@@ -322,6 +483,38 @@ mod tests {
         assert!(FlatVecMap::<Id, u32>::from_raw_parts(vec![id(3), id(1)], vec![1, 3]).is_none());
         assert!(FlatVecMap::<Id, u32>::from_raw_parts(vec![id(1), id(1)], vec![1, 1]).is_none());
         assert!(FlatVecMap::<Id, u32>::from_raw_parts(vec![id(1)], vec![1, 2]).is_none());
+    }
+
+    #[test]
+    fn shared_columns_read_like_owned_and_copy_out_on_write() {
+        let owned =
+            FlatArena::from_raw_parts(vec![id(1), id(2), id(5)], vec![Span { off: 0, len: 3 }])
+                .unwrap();
+        let items: SharedColumn<Id> = Arc::new(owned.items_raw().to_vec());
+        let spans: SharedColumn<Span> = Arc::new(owned.spans_raw().to_vec());
+        let mut shared = FlatArena::from_columns(Column::Shared(items), Column::Shared(spans));
+        assert_eq!(shared, owned);
+        assert_eq!(shared.heap_bytes(), 0);
+        // Growing a shared arena copies its columns out first.
+        shared.push_list([id(9)]);
+        assert_eq!(shared.get(0), &[id(1), id(2), id(5)]);
+        assert_eq!(shared.get(1), &[id(9)]);
+        assert!(shared.heap_bytes() > 0);
+    }
+
+    #[test]
+    fn readers_clamp_corrupt_spans_and_indices() {
+        let spans = vec![Span { off: 1, len: 9 }, Span { off: u32::MAX, len: u32::MAX }];
+        let a = FlatArena::from_columns(vec![id(1), id(2), id(3)].into(), spans.into());
+        assert_eq!(a.get(0), &[id(2), id(3)], "clamped to the column end");
+        assert_eq!(a.get(1), &[] as &[Id], "entirely past the end");
+        assert_eq!(a.get(7), &[] as &[Id], "index past the span table");
+        let m: FlatVecMap<Id, u32> =
+            FlatVecMap::from_columns(vec![id(1), id(4)].into(), vec![10].into());
+        assert_eq!(m.get(&id(1)), Some(&10));
+        assert_eq!(m.get(&id(4)), None, "a key without a value reads as absent");
+        assert_eq!(Span { off: 5, len: 3 }.clamped(6), 5..6);
+        assert_eq!(Span { off: 9, len: 3 }.clamped(6), 6..6);
     }
 
     #[test]

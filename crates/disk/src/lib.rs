@@ -7,10 +7,20 @@
 //! slab columns in place: open time becomes O(section headers), and the
 //! operating system pages in exactly the columns queries touch.
 //!
+//! The crate holds no query code. It has three jobs: map the file,
+//! parse the `FROZ` section's headers, and provide typed `Id`/`u32`/
+//! [`hexastore::Span`] views of the mapped columns — its only `unsafe`
+//! besides the `mmap` call itself. The views are handed to
+//! [`hexastore::FrozenHexastore::from_columns`], so a mapped store runs
+//! the in-memory frozen store's read path, clamped helpers and all
+//! (the trust model is documented in [`hexastore::slab`]).
+//!
 //! The entry points are [`open`] (dictionary + store) and
 //! [`open_dataset`] (a ready-to-query [`hexastore::Dataset`]). The
-//! returned [`MmapFrozenHexastore`] implements
-//! [`hexastore::TripleStore`], so planning, parallel execution, and
+//! returned [`MmapFrozenHexastore`] is a thin newtype over that
+//! [`hexastore::FrozenHexastore`]: it forwards
+//! [`hexastore::TripleStore`], dereferences to the inner store, and
+//! reports its mapped size, so planning, parallel execution, and
 //! snapshot serving work over it exactly as over the in-memory frozen
 //! store.
 //!
@@ -201,9 +211,7 @@ fn store_from(map: &Arc<Mmap>, (off, len): (u64, u64)) -> Result<MmapFrozenHexas
     let sec_len = usize::try_from(len).map_err(|_| {
         Error::Unmappable("slab section length exceeds the address space".to_string())
     })?;
-    let (n, arenas, orderings) =
-        store::parse_frozen_section(map, sec_off, sec_len).map_err(Error::Corrupt)?;
-    Ok(MmapFrozenHexastore::new(Arc::clone(map), n, arenas, orderings))
+    store::parse_frozen_section(map, sec_off, sec_len).map_err(Error::Corrupt)
 }
 
 /// Parses the `DICT` section out of the mapping, keeping the string

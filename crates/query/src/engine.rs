@@ -767,18 +767,25 @@ impl Iterator for Solutions<'_> {
             else {
                 continue;
             };
-            if self.distinct && !self.seen.insert(ids.clone()) {
+            if self.distinct && self.seen.contains(&ids) {
                 continue;
+            }
+            // Rows holding an id the dictionary cannot decode (only a
+            // corrupt mapped file has those) are dropped the same way,
+            // before they count towards DISTINCT, OFFSET or LIMIT. (A
+            // demand pushed into the walk still counts them, so such a
+            // LIMIT can come up short.)
+            let Some(terms) = ids.iter().map(|&id| self.dict.decode(id)).collect() else {
+                continue;
+            };
+            if self.distinct {
+                self.seen.insert(ids);
             }
             if self.skipped < self.offset {
                 self.skipped += 1;
                 continue;
             }
             self.emitted += 1;
-            let terms = ids
-                .into_iter()
-                .map(|id| self.dict.decode(id).expect("result id missing from dictionary").clone())
-                .collect();
             return Some(terms);
         }
         self.done = true;
