@@ -15,7 +15,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use hex_bench::lubm_dataset;
 use hex_bench_queries::lubm::{self, LubmIds};
 use hex_bench_queries::{lubm_queries, Suite};
-use hex_query::{execute_bgp_with_order, DatasetQuery};
+use hex_query::{BgpCursor, DatasetQuery};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -58,7 +58,9 @@ fn bench_plans(c: &mut Criterion) {
     g.bench_function("worst_fixed_order", |b| {
         let q = plain.query();
         let bgp = q.bgp.as_ref().unwrap();
-        b.iter(|| black_box(execute_bgp_with_order(&suite.hexastore, bgp, &[0, 2, 1]).len()))
+        b.iter(|| {
+            black_box(BgpCursor::new(&suite.hexastore, bgp, &[0, 2, 1]).collect::<Vec<_>>().len())
+        })
     });
     g.finish();
 

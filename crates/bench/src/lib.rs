@@ -874,7 +874,7 @@ pub fn dict_to_csv(row: &DictRow) -> String {
 
 /// One ASK early-exit measurement: the same existence check answered by
 /// the streaming plan (`Plan::solutions().next()`, stops at the first
-/// row) and by the old materializing path (`execute_bgp` collects every
+/// row) and by a materializing path (the plan's cursor collects every
 /// binding row, then tests emptiness).
 #[derive(Clone, Debug)]
 pub struct AskRow {
@@ -900,7 +900,7 @@ impl AskRow {
 /// materializing path enumerates thousands of rows while the streamed
 /// plan stops at the first.
 pub fn ask_early_exit(scale: usize, reps: usize) -> AskRow {
-    use hex_query::{Bgp, CompiledQuery, Pattern, PatternTerm, Plan, VarId};
+    use hex_query::{Bgp, BgpCursor, CompiledQuery, Pattern, PatternTerm, Plan, VarId};
     let data = lubm_dataset(scale);
     let suite = Suite::build(&data);
     let p_type = ids_of(&suite, "type");
@@ -922,8 +922,9 @@ pub fn ask_early_exit(scale: usize, reps: usize) -> AskRow {
     };
     let plan = Plan::from_compiled(q, &suite.dict, &suite.hexastore);
     let streamed = time_query(reps, || plan.solutions().next().is_some());
-    let materialized =
-        time_query(reps, || !hex_query::execute_bgp(&suite.hexastore, &bgp).is_empty());
+    let materialized = time_query(reps, || {
+        !BgpCursor::new(&suite.hexastore, &bgp, &[0]).collect::<Vec<_>>().is_empty()
+    });
     let matches = suite.hexastore.count_matching(hexastore::IdPattern::p(p_type));
     AskRow { triples: suite.len(), matches, streamed, materialized }
 }
@@ -931,7 +932,7 @@ pub fn ask_early_exit(scale: usize, reps: usize) -> AskRow {
 /// Renders the ASK early-exit measurement as a one-row CSV.
 pub fn ask_to_csv(row: &AskRow) -> String {
     format!(
-        "# ASK early exit — streamed Plan::solutions() vs materializing execute_bgp, lubm \
+        "# ASK early exit — streamed Plan::solutions() vs materializing BgpCursor, lubm \
          dataset\ntriples,matches,streamed_s,materialized_s,speedup\n{},{},{:.9},{:.9},{:.3}\n",
         row.triples,
         row.matches,

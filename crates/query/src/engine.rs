@@ -8,15 +8,16 @@
 //! step where its operands are bound, and returns a [`Plan`] whose
 //! [`Plan::explain`] renders the chosen steps and whose
 //! [`Plan::solutions`] lazily streams decoded rows — ASK stops at the
-//! first solution, `LIMIT k` after `offset + k`. The `execute*` functions
-//! are retained as one-call shims over the same machinery.
+//! first solution, `LIMIT k` after `offset + k`. [`DatasetQuery`] puts the
+//! same surface on every string-level [`Dataset`].
 
 use crate::algebra::{Bgp, Pattern, PatternTerm, VarId};
-use crate::exec::{self, PlanStep};
+use crate::exec::{self, BgpCursor, PlanStep};
 use crate::parser::{parse_query, FilterOp, FilterOperand, ParseError, ParsedQuery};
-use hex_dict::Dictionary;
+use hex_dict::{Dictionary, Id};
 use hexastore::{Dataset, DatasetStats, Shape, TripleStore};
 use rdf_model::{Term, TermPattern};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fmt::Write as _;
@@ -184,34 +185,37 @@ impl CompiledFilter {
 
 /// Compiles a parsed query against a dictionary (read-only: unknown
 /// constants make the query statically empty rather than interning).
+/// A query with more than 65,535 distinct variables is rejected as a
+/// [`QueryError::Parse`].
 pub fn compile(parsed: &ParsedQuery, dict: &Dictionary) -> Result<CompiledQuery, QueryError> {
     let mut slot_of: HashMap<String, VarId> = HashMap::new();
-    let mut next: u16 = 0;
-    let mut slot = |name: &str, slot_of: &mut HashMap<String, VarId>| -> VarId {
-        *slot_of.entry(name.to_string()).or_insert_with(|| {
-            let v = VarId(next);
-            next += 1;
-            v
-        })
-    };
-
     let mut patterns = Vec::with_capacity(parsed.patterns.len());
     let mut unknown_constant = false;
     for pat in &parsed.patterns {
-        let mut pos = |tp: &TermPattern, slot_of: &mut HashMap<String, VarId>| match tp {
-            TermPattern::Var(name) => PatternTerm::Var(slot(name, slot_of)),
-            TermPattern::Bound(term) => match dict.id_of(term) {
-                Some(id) => PatternTerm::Const(id),
-                None => {
-                    unknown_constant = true;
-                    PatternTerm::Const(hex_dict::Id(u32::MAX))
+        let mut pos = |tp: &TermPattern| match tp {
+            TermPattern::Var(name) => {
+                if let Some(&v) = slot_of.get(&**name) {
+                    return Ok(PatternTerm::Var(v));
                 }
-            },
+                // Slots are `u16`, and `Bgp::var_count` (one past the
+                // highest slot) must fit one too.
+                let Some(v) = u16::try_from(slot_of.len()).ok().filter(|&n| n < u16::MAX) else {
+                    return Err(QueryError::Parse(ParseError {
+                        offset: 0,
+                        message: format!("more than {} distinct variables", u16::MAX),
+                    }));
+                };
+                slot_of.insert(name.to_string(), VarId(v));
+                Ok(PatternTerm::Var(VarId(v)))
+            }
+            TermPattern::Bound(term) => {
+                Ok(PatternTerm::Const(dict.id_of(term).unwrap_or_else(|| {
+                    unknown_constant = true;
+                    Id(u32::MAX)
+                })))
+            }
         };
-        let s = pos(&pat.subject, &mut slot_of);
-        let p = pos(&pat.predicate, &mut slot_of);
-        let o = pos(&pat.object, &mut slot_of);
-        patterns.push(Pattern::new(s, p, o));
+        patterns.push(Pattern::new(pos(&pat.subject)?, pos(&pat.predicate)?, pos(&pat.object)?));
     }
 
     let mut filters = Vec::with_capacity(parsed.filters.len());
@@ -243,7 +247,7 @@ pub fn compile(parsed: &ParsedQuery, dict: &Dictionary) -> Result<CompiledQuery,
             None => return Err(QueryError::UnknownVariable(v.clone())),
         }
     }
-    let mut var_names = vec![String::new(); next as usize];
+    let mut var_names = vec![String::new(); slot_of.len()];
     for (name, v) in &slot_of {
         var_names[v.index()] = name.clone();
     }
@@ -266,6 +270,14 @@ pub fn compile(parsed: &ParsedQuery, dict: &Dictionary) -> Result<CompiledQuery,
 pub struct Plan<'a> {
     store: &'a dyn TripleStore,
     dict: &'a Dictionary,
+    prepared: Prepared,
+}
+
+/// The output of one `prepare`: everything a [`Plan`] holds except its
+/// store/dictionary borrows. [`PlanCache`] memoizes it, and the parallel
+/// executor shares it with its worker threads.
+#[derive(Clone, Debug)]
+pub(crate) struct Prepared {
     query: CompiledQuery,
     /// Execution steps in order; empty when the plan is statically empty
     /// or the BGP has no patterns.
@@ -362,73 +374,66 @@ impl<'a> Plan<'a> {
     ) -> Plan<'a> {
         let mut empty_reason =
             query.bgp.is_none().then_some("a constant does not occur in the dictionary");
-        let steps = match &query.bgp {
-            Some(bgp) => exec::plan_steps_with(store, bgp, stats),
-            None => Vec::new(),
-        };
-        let mut step_filters: Vec<Vec<CompiledFilter>> = steps.iter().map(|_| Vec::new()).collect();
+        let mut steps = Vec::new();
+        // The step that first binds each variable, for FILTER placement.
+        let mut bound_at = Vec::new();
         if let Some(bgp) = &query.bgp {
-            // Bound-variable set after each step, for FILTER placement.
-            let mut bound = vec![false; bgp.var_count as usize];
-            let bound_after: Vec<Vec<bool>> = steps
-                .iter()
-                .map(|step| {
-                    for v in bgp.patterns[step.pattern].vars() {
-                        bound[v.index()] = true;
-                    }
-                    bound.clone()
-                })
-                .collect();
-            for f in &query.filters {
-                let slots: Vec<VarId> = f.slots().collect();
-                if slots.is_empty() {
-                    // Constants-only comparison: decidable right now.
-                    if empty_reason.is_none() && !f.accepts(&[]) {
-                        empty_reason = Some("a FILTER comparison over constants is false");
-                    }
-                    continue;
-                }
-                // A slot no pattern binds stays unbound in every row, and
-                // an unbound filtered variable rejects the row (SPARQL
-                // error semantics) — so the whole result is empty. The
-                // parser cannot produce this, but programmatically built
-                // queries can.
-                let all_bound = |bound: &[bool]| {
-                    slots.iter().all(|v| bound.get(v.index()).copied().unwrap_or(false))
-                };
-                match (0..steps.len()).find(|&d| all_bound(&bound_after[d])) {
-                    Some(depth) => step_filters[depth].push(*f),
-                    None => {
-                        if empty_reason.is_none() {
-                            empty_reason =
-                                Some("a FILTER references a variable bound by no pattern")
-                        }
-                    }
+            steps = exec::plan_steps_with(store, bgp, stats);
+            bound_at = vec![None; bgp.var_count as usize];
+            for (depth, step) in steps.iter().enumerate() {
+                for v in bgp.patterns[step.pattern].vars() {
+                    bound_at[v.index()].get_or_insert(depth);
                 }
             }
         }
-        Plan { store, dict, query, steps, step_filters, empty_reason, stats_mode: stats.is_some() }
+        let mut step_filters = vec![Vec::new(); steps.len()];
+        for f in &query.filters {
+            if f.slots().next().is_none() {
+                // Constants-only comparison: decidable right now.
+                if !f.accepts(&[]) {
+                    empty_reason.get_or_insert("a FILTER comparison over constants is false");
+                }
+                continue;
+            }
+            // The earliest step after which all of the filter's variables
+            // are bound. A slot no pattern binds stays unbound in every
+            // row, and an unbound filtered variable rejects the row
+            // (SPARQL error semantics) — so the whole result is empty. The
+            // parser cannot produce this, but programmatically built
+            // queries can.
+            let bound = |v: VarId| bound_at.get(v.index()).copied().flatten();
+            match f.slots().try_fold(0, |depth, v| Some(bound(v)?.max(depth))) {
+                Some(depth) => step_filters[depth].push(*f),
+                None => {
+                    empty_reason
+                        .get_or_insert("a FILTER references a variable bound by no pattern");
+                }
+            }
+        }
+        let stats_mode = stats.is_some();
+        let prepared = Prepared { query, steps, step_filters, empty_reason, stats_mode };
+        Plan { store, dict, prepared }
     }
 
     /// The compiled query this plan runs.
     pub fn query(&self) -> &CompiledQuery {
-        &self.query
+        &self.prepared.query
     }
 
     /// The ordered, cost-annotated steps.
     pub fn steps(&self) -> &[PlanStep] {
-        &self.steps
+        &self.prepared.steps
     }
 
     /// True when prepare-time analysis proved the result empty (a constant
     /// outside the dictionary, or a constants-only FILTER that is false).
     pub fn is_statically_empty(&self) -> bool {
-        self.empty_reason.is_some()
+        self.prepared.empty_reason.is_some()
     }
 
     fn render_term(&self, term: PatternTerm) -> String {
         match term {
-            PatternTerm::Var(v) => match self.query.var_names.get(v.index()) {
+            PatternTerm::Var(v) => match self.query().var_names.get(v.index()) {
                 Some(name) => format!("?{name}"),
                 None => format!("?_{}", v.index()),
             },
@@ -454,44 +459,45 @@ impl<'a> Plan<'a> {
     /// answer directly), with pushed-down filters listed under the step
     /// that applies them.
     pub fn explain(&self) -> String {
+        let Prepared { query, steps, step_filters, empty_reason, stats_mode } = &self.prepared;
         let mut out = String::new();
-        let mut goal = if self.query.ask {
+        let mut goal = if query.ask {
             "ASK".to_string()
         } else {
             let mut s = String::from("SELECT");
-            if self.query.distinct {
+            if query.distinct {
                 s.push_str(" DISTINCT");
             }
-            for v in &self.query.vars {
+            for v in &query.vars {
                 let _ = write!(s, " ?{v}");
             }
             s
         };
-        if self.query.offset > 0 {
-            let _ = write!(goal, " OFFSET {}", self.query.offset);
+        if query.offset > 0 {
+            let _ = write!(goal, " OFFSET {}", query.offset);
         }
-        if let Some(limit) = self.query.limit {
+        if let Some(limit) = query.limit {
             let _ = write!(goal, " LIMIT {limit}");
         }
         let _ = writeln!(out, "query: {goal}");
         let caps: Vec<&str> = self.store.capabilities().iter().map(|k| k.name()).collect();
         let _ = writeln!(out, "store: {} capabilities={{{}}}", self.store.name(), caps.join(","));
-        if self.stats_mode {
+        if *stats_mode {
             let _ = writeln!(out, "planner: statistics-driven (bound-variable fan-out)");
         }
-        if let Some(reason) = self.empty_reason {
+        if let Some(reason) = empty_reason {
             let _ = writeln!(out, "  statically empty: {reason}");
             return out;
         }
-        let Some(bgp) = &self.query.bgp else { unreachable!("empty_reason covers bgp=None") };
-        for (i, step) in self.steps.iter().enumerate() {
+        let Some(bgp) = &query.bgp else { unreachable!("empty_reason covers bgp=None") };
+        for (i, step) in steps.iter().enumerate() {
             let pat = &bgp.patterns[step.pattern];
             let via = match step.index {
                 Some(kind) => format!("index {}", kind.name()),
                 None => "scan".to_string(),
             };
             let refined =
-                if self.stats_mode { format!(" cost={:.2}", step.cost) } else { String::new() };
+                if *stats_mode { format!(" cost={:.2}", step.cost) } else { String::new() };
             let join = match step.join {
                 exec::JoinStep::MergeIntersect => "merge",
                 exec::JoinStep::NestedProbe => "nested",
@@ -507,7 +513,7 @@ impl<'a> Plan<'a> {
                 step.estimate,
                 via
             );
-            for f in &self.step_filters[i] {
+            for f in &step_filters[i] {
                 let op = match f.op {
                     FilterOp::Eq => "=",
                     FilterOp::Ne => "!=",
@@ -531,13 +537,13 @@ impl<'a> Plan<'a> {
         if bgp.patterns.is_empty() {
             return "serial (empty BGP: one constant row)".to_string();
         }
-        if self.query.ask {
+        if self.query().ask {
             return "serial (ASK short-circuits at the first row)".to_string();
         }
-        if let Some((group, _)) = exec::merge_group(bgp, &self.steps) {
+        if let Some((group, _)) = exec::merge_group(bgp, self.steps()) {
             return format!("shards the merged candidate list of the {group}-pattern join group");
         }
-        let first = &self.steps[0];
+        let first = &self.steps()[0];
         if first.estimate <= 1 {
             return format!("serial (step 1 matches {}: nothing to shard)", first.estimate);
         }
@@ -550,20 +556,121 @@ impl<'a> Plan<'a> {
         format!("shards step 1's {} candidates", first.estimate)
     }
 
-    /// The join order as pattern indices (execution order).
-    pub(crate) fn order(&self) -> Vec<usize> {
-        self.steps.iter().map(|s| s.pattern).collect()
-    }
-
-    /// The FILTERs pushed down to each step, aligned with [`Plan::steps`].
-    pub(crate) fn step_filters(&self) -> &[Vec<CompiledFilter>] {
-        &self.step_filters
-    }
-
     /// The data pointer of the store this plan was prepared against —
     /// lets the parallel executor assert it was handed the same store.
     pub(crate) fn store_data_ptr(&self) -> *const () {
         self.store as *const dyn TripleStore as *const ()
+    }
+
+    /// The prepare-time part of the plan, shareable across threads.
+    pub(crate) fn prepared(&self) -> &Prepared {
+        &self.prepared
+    }
+
+    /// Streams the plan's solutions lazily: rows are produced on demand,
+    /// ASK yields at most one (empty) row, and `OFFSET`/`LIMIT` stop the
+    /// underlying join walk as soon as enough rows have been emitted.
+    pub fn solutions(&self) -> Solutions<'_> {
+        let p = &self.prepared;
+        let rows = p.bgp().map(|bgp| {
+            let candidates = p.merge_candidates(bgp, self.store).map(Cow::Owned);
+            Box::new(p.cursor(bgp, self.store, candidates, None)) as RowIter<'_>
+        });
+        self.solutions_over(rows)
+    }
+
+    /// Downgrades every step to [`exec::JoinStep::NestedProbe`], forcing
+    /// the pure nested walk. This is the oracle side of the merge-join
+    /// byte-identity tests and the baseline of the `joins` bench figure:
+    /// the same plan (same steps, same order) executed with per-candidate
+    /// probes instead of one sorted-list intersection.
+    pub fn force_nested_joins(&mut self) {
+        for s in &mut self.prepared.steps {
+            s.join = exec::JoinStep::NestedProbe;
+        }
+    }
+
+    /// Builds the solution-modifier pipeline (ASK / projection / DISTINCT
+    /// / OFFSET / LIMIT / decode) over an arbitrary binding-row source.
+    /// [`Plan::solutions`] feeds it the single-threaded cursor; the
+    /// parallel executor feeds it the concatenation of its shards.
+    pub(crate) fn solutions_over<'s>(&'s self, rows: Option<RowIter<'s>>) -> Solutions<'s> {
+        let query = &self.prepared.query;
+        Solutions {
+            dict: self.dict,
+            vars: &query.vars,
+            slots: &query.slots,
+            rows,
+            ask: query.ask,
+            distinct: query.distinct,
+            seen: HashSet::new(),
+            offset: query.offset,
+            skipped: 0,
+            limit: query.limit,
+            emitted: 0,
+            done: false,
+        }
+    }
+
+    /// Runs the plan to completion, collecting a [`ResultSet`].
+    pub fn run(&self) -> ResultSet {
+        ResultSet { vars: self.query().vars.clone(), rows: self.solutions().collect() }
+    }
+}
+
+impl Prepared {
+    /// The BGP a run walks; `None` when the plan is statically empty.
+    pub(crate) fn bgp(&self) -> Option<&Bgp> {
+        self.query.bgp.as_ref().filter(|_| self.empty_reason.is_none())
+    }
+
+    /// The join order as pattern indices (execution order).
+    fn order(&self) -> Vec<usize> {
+        self.steps.iter().map(|s| s.pattern).collect()
+    }
+
+    /// The intersected candidates of the leading merge group, when the
+    /// planner compiled one and `store` serves every group pattern's
+    /// sorted list zero-copy. `None` sends the run down the nested walk,
+    /// which is byte-identical: this runtime re-check keeps a cached
+    /// merge plan correct when rebound to a store without
+    /// [`hexastore::SortedListAccess`].
+    pub(crate) fn merge_candidates(&self, bgp: &Bgp, store: &dyn TripleStore) -> Option<Vec<Id>> {
+        let (group, _) = exec::merge_group(bgp, &self.steps)?;
+        exec::merge_candidates(store, bgp, &self.order(), group)
+    }
+
+    /// Builds a join cursor of this plan over `store`: every cursor a
+    /// [`Plan`] runs, serial or one parallel shard, comes from here. The
+    /// walk fans out first over the merge group's `candidates` when given
+    /// (see [`Prepared::merge_candidates`]), else over the first
+    /// pattern's store cursor; `shard` restricts that fan-out to its
+    /// `[from, to)` positions ([`BgpCursor::restrict_first`]). Every
+    /// step's FILTERs are attached and the LIMIT demand is pushed.
+    pub(crate) fn cursor<'s>(
+        &'s self,
+        bgp: &Bgp,
+        store: &'s dyn TripleStore,
+        candidates: Option<Cow<'s, [Id]>>,
+        shard: Option<(usize, usize)>,
+    ) -> BgpCursor<'s> {
+        let order = self.order();
+        let mut cursor = match (exec::merge_group(bgp, &self.steps), candidates) {
+            (Some((group, var)), Some(list)) => {
+                BgpCursor::merged(store, bgp, &order, group, var, list)
+            }
+            _ => BgpCursor::new(store, bgp, &order),
+        };
+        if let Some((from, to)) = shard {
+            cursor.restrict_first(from, to);
+        }
+        for (depth, filters) in self.step_filters.iter().enumerate() {
+            for &f in filters {
+                cursor.add_check(depth, Box::new(move |row| f.accepts(row)));
+            }
+        }
+        cursor.set_demand(self.pushdown_demand());
+        cursor
     }
 
     /// LIMIT pushdown: when every cursor row becomes exactly one emitted
@@ -583,36 +690,21 @@ impl<'a> Plan<'a> {
     /// [`Solutions`]' laziness instead (O(k·dup) triples for LIMIT k
     /// with duplication factor dup — see the engine tests); the parallel
     /// executor additionally caps each shard with its own seen-set.
-    pub(crate) fn pushdown_demand(&self) -> Option<usize> {
-        let bgp = self.query.bgp.as_ref()?;
-        if self.query.ask {
+    fn pushdown_demand(&self) -> Option<usize> {
+        let query = &self.query;
+        let bgp = query.bgp.as_ref()?;
+        if query.ask || self.step_filters.iter().any(|filters| !filters.is_empty()) {
             return None;
         }
-        if !self.step_filters.iter().all(Vec::is_empty) {
+        let pattern_vars = || bgp.patterns.iter().flat_map(Pattern::vars);
+        // Every projected slot is pattern-bound (no row is dropped), and
+        // under DISTINCT every pattern-bound variable is projected (no row
+        // is a duplicate).
+        let total = query.slots.iter().all(|&v| pattern_vars().any(|u| u == v));
+        if !total || (query.distinct && !pattern_vars().all(|u| query.slots.contains(&u))) {
             return None;
         }
-        let mut pattern_bound = vec![false; bgp.var_count as usize];
-        for pat in &bgp.patterns {
-            for v in pat.vars() {
-                pattern_bound[v.index()] = true;
-            }
-        }
-        let projection_total =
-            self.query.slots.iter().all(|v| pattern_bound.get(v.index()).copied().unwrap_or(false));
-        if !projection_total {
-            return None;
-        }
-        if self.query.distinct {
-            let all_bound_projected = pattern_bound
-                .iter()
-                .enumerate()
-                .filter(|(_, &b)| b)
-                .all(|(i, _)| self.query.slots.iter().any(|v| v.index() == i));
-            if !all_bound_projected {
-                return None;
-            }
-        }
-        self.query.limit.map(|limit| self.query.offset.saturating_add(limit))
+        query.limit.map(|limit| query.offset.saturating_add(limit))
     }
 
     /// The per-shard row cap of parallel DISTINCT+LIMIT execution: any
@@ -627,86 +719,6 @@ impl<'a> Plan<'a> {
             return None;
         }
         self.query.limit.map(|limit| self.query.offset.saturating_add(limit))
-    }
-
-    /// Streams the plan's solutions lazily: rows are produced on demand,
-    /// ASK yields at most one (empty) row, and `OFFSET`/`LIMIT` stop the
-    /// underlying join walk as soon as enough rows have been emitted.
-    pub fn solutions(&self) -> Solutions<'_> {
-        let rows: Option<RowIter<'_>> = match (&self.query.bgp, self.empty_reason) {
-            (Some(bgp), None) => Some(self.row_source(bgp)),
-            _ => None,
-        };
-        self.solutions_over(rows)
-    }
-
-    /// The binding-row source behind [`Plan::solutions`]: a
-    /// [`exec::MergeCursor`] when the planner compiled a leading merge
-    /// group and the store serves its sorted lists zero-copy, else the
-    /// nested [`exec::BgpCursor`]. The runtime capability re-check keeps
-    /// a cached merge plan correct when rebound to a store without
-    /// [`hexastore::SortedListAccess`] (it silently takes the nested
-    /// walk, which is byte-identical).
-    fn row_source<'s>(&'s self, bgp: &'s Bgp) -> RowIter<'s> {
-        let order = self.order();
-        if let Some((group, var)) = exec::merge_group(bgp, &self.steps) {
-            if let Some(candidates) = exec::merge_candidates(self.store, bgp, &order, group) {
-                let mut cursor =
-                    exec::MergeCursor::new(self.store, bgp, &order, group, var, candidates);
-                for (depth, filters) in self.step_filters.iter().enumerate() {
-                    for &f in filters {
-                        cursor.add_check(depth, Box::new(move |row| f.accepts(row)));
-                    }
-                }
-                cursor.set_demand(self.pushdown_demand());
-                return Box::new(cursor);
-            }
-        }
-        let mut cursor = exec::BgpCursor::new(self.store, bgp, &order);
-        for (depth, filters) in self.step_filters.iter().enumerate() {
-            for &f in filters {
-                cursor.add_check(depth, Box::new(move |row| f.accepts(row)));
-            }
-        }
-        cursor.set_demand(self.pushdown_demand());
-        Box::new(cursor)
-    }
-
-    /// Downgrades every step to [`exec::JoinStep::NestedProbe`], forcing
-    /// the pure nested walk. This is the oracle side of the merge-join
-    /// byte-identity tests and the baseline of the `joins` bench figure:
-    /// the same plan (same steps, same order) executed with per-candidate
-    /// probes instead of one sorted-list intersection.
-    pub fn force_nested_joins(&mut self) {
-        for s in &mut self.steps {
-            s.join = exec::JoinStep::NestedProbe;
-        }
-    }
-
-    /// Builds the solution-modifier pipeline (ASK / projection / DISTINCT
-    /// / OFFSET / LIMIT / decode) over an arbitrary binding-row source.
-    /// [`Plan::solutions`] feeds it the single-threaded cursor; the
-    /// parallel executor feeds it the concatenation of its shards.
-    pub(crate) fn solutions_over<'s>(&'s self, rows: Option<RowIter<'s>>) -> Solutions<'s> {
-        Solutions {
-            dict: self.dict,
-            vars: &self.query.vars,
-            slots: &self.query.slots,
-            rows,
-            ask: self.query.ask,
-            distinct: self.query.distinct,
-            seen: HashSet::new(),
-            offset: self.query.offset,
-            skipped: 0,
-            limit: self.query.limit,
-            emitted: 0,
-            done: false,
-        }
-    }
-
-    /// Runs the plan to completion, collecting a [`ResultSet`].
-    pub fn run(&self) -> ResultSet {
-        ResultSet { vars: self.query.vars.clone(), rows: self.solutions().collect() }
     }
 }
 
@@ -793,46 +805,6 @@ impl Iterator for Solutions<'_> {
     }
 }
 
-/// Executes a compiled query against a store, decoding rows through the
-/// dictionary. Thin shim over [`Plan::from_compiled`] + [`Plan::run`].
-pub fn execute_compiled(
-    store: &dyn TripleStore,
-    dict: &Dictionary,
-    q: &CompiledQuery,
-) -> ResultSet {
-    Plan::from_compiled(q.clone(), dict, store).run()
-}
-
-/// Parses and runs a query against an arbitrary store + dictionary pair.
-/// Thin shim over [`prepare_on`] + [`Plan::run`].
-pub fn execute_on(
-    store: &dyn TripleStore,
-    dict: &Dictionary,
-    query_text: &str,
-) -> Result<ResultSet, QueryError> {
-    Ok(prepare_on(store, dict, query_text)?.run())
-}
-
-/// Parses and runs a query against any string-level [`Dataset`] (the
-/// common case; `GraphStore`, `FrozenGraphStore` and the partial facades
-/// all qualify).
-pub fn execute<S: TripleStore>(
-    graph: &Dataset<S>,
-    query_text: &str,
-) -> Result<ResultSet, QueryError> {
-    execute_on(graph.store(), graph.dict(), query_text)
-}
-
-/// Parses and runs an ASK query, returning its boolean answer. SELECT
-/// queries are answered by non-emptiness. Streams: evaluation stops at
-/// the first solution.
-pub fn execute_ask<S: TripleStore>(
-    graph: &Dataset<S>,
-    query_text: &str,
-) -> Result<bool, QueryError> {
-    Ok(prepare_on(graph.store(), graph.dict(), query_text)?.solutions().next().is_some())
-}
-
 /// String-level query surface for [`Dataset`]: every store variant —
 /// mutable, frozen, partial — is queryable through `prepare` without
 /// touching id-level APIs.
@@ -911,41 +883,6 @@ impl<S: TripleStore> DatasetQuery for Dataset<S> {
     }
 }
 
-/// The reusable output of one `prepare`: everything a [`Plan`] holds
-/// except its store/dictionary borrows.
-#[derive(Clone, Debug)]
-struct CachedPlan {
-    query: CompiledQuery,
-    steps: Vec<PlanStep>,
-    step_filters: Vec<Vec<CompiledFilter>>,
-    empty_reason: Option<&'static str>,
-    stats_mode: bool,
-}
-
-impl CachedPlan {
-    fn of(plan: &Plan<'_>) -> CachedPlan {
-        CachedPlan {
-            query: plan.query.clone(),
-            steps: plan.steps.clone(),
-            step_filters: plan.step_filters.clone(),
-            empty_reason: plan.empty_reason,
-            stats_mode: plan.stats_mode,
-        }
-    }
-
-    fn rebind<'a>(&self, dict: &'a Dictionary, store: &'a dyn TripleStore) -> Plan<'a> {
-        Plan {
-            store,
-            dict,
-            query: self.query.clone(),
-            steps: self.steps.clone(),
-            step_filters: self.step_filters.clone(),
-            empty_reason: self.empty_reason,
-            stats_mode: self.stats_mode,
-        }
-    }
-}
-
 /// A memo of prepared plans, keyed by query text and planning mode, so a
 /// serving loop replaying a fixed query set stops re-parsing,
 /// re-compiling and re-planning (each plain `prepare` pays one
@@ -979,17 +916,12 @@ impl CachedPlan {
 pub struct PlanCache {
     /// Per query text, the plain and the stats-driven preparation —
     /// cached independently, since the two can choose different orders.
-    entries: HashMap<String, [Option<CachedPlan>; 2]>,
+    entries: HashMap<String, [Option<Prepared>; 2]>,
     /// The ([`Dataset::identity`], [`Dataset::version`]) pair the
     /// entries were planned against.
     planned_for: Option<(u64, u64)>,
     hits: u64,
     misses: u64,
-}
-
-/// Index into a [`PlanCache`] entry's mode slots.
-fn mode_slot(stats_mode: bool) -> usize {
-    usize::from(stats_mode)
 }
 
 impl PlanCache {
@@ -1027,16 +959,6 @@ impl PlanCache {
         self.planned_for = None;
     }
 
-    /// Drops the entries if `ds` is a different dataset than, or has
-    /// mutated since, the one they were planned against.
-    fn validate<S: TripleStore>(&mut self, ds: &Dataset<S>) {
-        let key = (ds.identity(), ds.version());
-        if self.planned_for != Some(key) {
-            self.entries.clear();
-            self.planned_for = Some(key);
-        }
-    }
-
     /// [`prepare_on`] through the cache: returns a plan equivalent to a
     /// fresh preparation, reusing the memoized compilation and join
     /// order when `ds` is unchanged since it was cached.
@@ -1045,18 +967,7 @@ impl PlanCache {
         ds: &'a Dataset<S>,
         query_text: &str,
     ) -> Result<Plan<'a>, QueryError> {
-        self.validate(ds);
-        if let Some(cached) =
-            self.entries.get(query_text).and_then(|slots| slots[mode_slot(false)].as_ref())
-        {
-            self.hits += 1;
-            return Ok(cached.rebind(ds.dict(), ds.store()));
-        }
-        self.misses += 1;
-        let plan = prepare_on(ds.store(), ds.dict(), query_text)?;
-        self.entries.entry(query_text.to_string()).or_default()[mode_slot(false)] =
-            Some(CachedPlan::of(&plan));
-        Ok(plan)
+        self.lookup(ds, query_text, false, || prepare_on(ds.store(), ds.dict(), query_text))
     }
 
     /// The statistics-driven counterpart of [`PlanCache::prepare`]: a
@@ -1068,18 +979,35 @@ impl PlanCache {
         ds: &'a Dataset<S>,
         query_text: &str,
     ) -> Result<Plan<'a>, QueryError> {
-        self.validate(ds);
-        if let Some(cached) =
-            self.entries.get(query_text).and_then(|slots| slots[mode_slot(true)].as_ref())
-        {
+        self.lookup(ds, query_text, true, || {
+            prepare_on_with_stats(ds.store(), ds.dict(), query_text, Some(&ds.stats()))
+        })
+    }
+
+    /// Serves `query_text` in one planning mode from the cache, or plans
+    /// it with `prepare` and caches the result. First drops every entry
+    /// if `ds` is a different dataset than, or has mutated since, the
+    /// one they were planned against.
+    fn lookup<'a, S: TripleStore>(
+        &mut self,
+        ds: &'a Dataset<S>,
+        query_text: &str,
+        stats_mode: bool,
+        prepare: impl FnOnce() -> Result<Plan<'a>, QueryError>,
+    ) -> Result<Plan<'a>, QueryError> {
+        let key = (ds.identity(), ds.version());
+        if self.planned_for != Some(key) {
+            self.entries.clear();
+            self.planned_for = Some(key);
+        }
+        let slot = usize::from(stats_mode);
+        if let Some(cached) = self.entries.get(query_text).and_then(|slots| slots[slot].as_ref()) {
             self.hits += 1;
-            return Ok(cached.rebind(ds.dict(), ds.store()));
+            return Ok(Plan { store: ds.store(), dict: ds.dict(), prepared: cached.clone() });
         }
         self.misses += 1;
-        let stats = ds.stats();
-        let plan = prepare_on_with_stats(ds.store(), ds.dict(), query_text, Some(&stats))?;
-        self.entries.entry(query_text.to_string()).or_default()[mode_slot(true)] =
-            Some(CachedPlan::of(&plan));
+        let plan = prepare()?;
+        self.entries.entry(query_text.to_string()).or_default()[slot] = Some(plan.prepared.clone());
         Ok(plan)
     }
 }
@@ -1131,8 +1059,7 @@ mod tests {
     fn figure1_upper_query() {
         // SELECT A.property WHERE A.subj = ID2 AND A.obj = 'MIT'
         let g = figure1_graph();
-        let rs =
-            execute(&g, r#"SELECT ?property WHERE { <http://x/ID2> ?property "MIT" . }"#).unwrap();
+        let rs = g.query(r#"SELECT ?property WHERE { <http://x/ID2> ?property "MIT" . }"#).unwrap();
         assert_eq!(rs.vars, vec!["property"]);
         assert_eq!(rs.rows, vec![vec![iri("worksFor")]]);
     }
@@ -1142,14 +1069,14 @@ mod tests {
         // People with the same relationship to Stanford as ID1 has to Yale
         // (ID1 phdFrom Yale; ID2 phdFrom Stanford).
         let g = figure1_graph();
-        let rs = execute(
-            &g,
-            r#"SELECT ?b WHERE {
+        let rs = g
+            .query(
+                r#"SELECT ?b WHERE {
                 <http://x/ID1> ?prop "Yale" .
                 ?b ?prop "Stanford" .
             }"#,
-        )
-        .unwrap();
+            )
+            .unwrap();
         assert_eq!(rs.rows, vec![vec![iri("ID2")]]);
     }
 
@@ -1157,9 +1084,9 @@ mod tests {
     fn select_star_and_distinct() {
         let g = figure1_graph();
         let rs =
-            execute(&g, r#"SELECT DISTINCT ?type WHERE { ?who <http://x/type> ?type . }"#).unwrap();
+            g.query(r#"SELECT DISTINCT ?type WHERE { ?who <http://x/type> ?type . }"#).unwrap();
         assert_eq!(rs.len(), 3); // FullProfessor, AssocProfessor, GradStudent
-        let star = execute(&g, r#"SELECT * WHERE { ?who <http://x/advisor> ?adv . }"#).unwrap();
+        let star = g.query(r#"SELECT * WHERE { ?who <http://x/advisor> ?adv . }"#).unwrap();
         assert_eq!(star.vars, vec!["who", "adv"]);
         assert_eq!(star.len(), 2);
     }
@@ -1167,8 +1094,7 @@ mod tests {
     #[test]
     fn unknown_constant_yields_empty_not_error() {
         let g = figure1_graph();
-        let rs =
-            execute(&g, r#"SELECT ?x WHERE { ?x <http://x/nonexistent> "nothing" . }"#).unwrap();
+        let rs = g.query(r#"SELECT ?x WHERE { ?x <http://x/nonexistent> "nothing" . }"#).unwrap();
         assert!(rs.is_empty());
         let plan = prepare_on(
             g.store(),
@@ -1184,7 +1110,7 @@ mod tests {
     #[test]
     fn unknown_projected_variable_is_an_error() {
         let g = figure1_graph();
-        let e = execute(&g, r#"SELECT ?zzz WHERE { ?x <http://x/type> ?y . }"#).unwrap_err();
+        let e = g.query(r#"SELECT ?zzz WHERE { ?x <http://x/type> ?y . }"#).unwrap_err();
         assert!(matches!(e, QueryError::UnknownVariable(v) if v == "zzz"));
     }
 
@@ -1204,12 +1130,12 @@ mod tests {
         let covp2 = hex_baselines::Covp2::from_triples(ids);
         for q in queries {
             let reference = {
-                let mut r = execute(&g, q).unwrap().rows;
+                let mut r = g.query(q).unwrap().rows;
                 r.sort();
                 r
             };
             for store in [&table as &dyn TripleStore, &covp1, &covp2] {
-                let mut rows = execute_on(store, g.dict(), q).unwrap().rows;
+                let mut rows = prepare_on(store, g.dict(), q).unwrap().run().rows;
                 rows.sort();
                 assert_eq!(rows, reference, "store {} query {q}", store.name());
             }
@@ -1219,70 +1145,69 @@ mod tests {
     #[test]
     fn limit_offset_and_ask() {
         let g = figure1_graph();
-        let all = execute(&g, r#"SELECT ?s WHERE { ?s <http://x/type> ?t . }"#).unwrap();
+        let all = g.query(r#"SELECT ?s WHERE { ?s <http://x/type> ?t . }"#).unwrap();
         assert_eq!(all.len(), 4);
-        let limited =
-            execute(&g, r#"SELECT ?s WHERE { ?s <http://x/type> ?t . } LIMIT 2"#).unwrap();
+        let limited = g.query(r#"SELECT ?s WHERE { ?s <http://x/type> ?t . } LIMIT 2"#).unwrap();
         assert_eq!(limited.len(), 2);
         assert_eq!(&limited.rows[..], &all.rows[..2]);
         let offset =
-            execute(&g, r#"SELECT ?s WHERE { ?s <http://x/type> ?t . } OFFSET 3 LIMIT 5"#).unwrap();
+            g.query(r#"SELECT ?s WHERE { ?s <http://x/type> ?t . } OFFSET 3 LIMIT 5"#).unwrap();
         assert_eq!(offset.len(), 1);
         assert_eq!(offset.rows[0], all.rows[3]);
-        assert!(execute_ask(&g, r#"ASK { <http://x/ID3> <http://x/advisor> ?a . }"#).unwrap());
-        assert!(!execute_ask(&g, r#"ASK { <http://x/ID1> <http://x/advisor> ?a . }"#).unwrap());
+        assert!(g.ask(r#"ASK { <http://x/ID3> <http://x/advisor> ?a . }"#).unwrap());
+        assert!(!g.ask(r#"ASK { <http://x/ID1> <http://x/advisor> ?a . }"#).unwrap());
     }
 
     #[test]
     fn filters_restrict_solutions() {
         let g = figure1_graph();
         // Everyone related to MIT except by worksFor.
-        let rs = execute(
-            &g,
-            r#"SELECT ?who WHERE {
+        let rs = g
+            .query(
+                r#"SELECT ?who WHERE {
                 ?who ?how "MIT" .
                 FILTER(?how != <http://x/worksFor>)
             }"#,
-        )
-        .unwrap();
+            )
+            .unwrap();
         assert_eq!(rs.rows, vec![vec![iri("ID1")]]);
         // BQ5-style non-Text filter expressed declaratively.
-        let rs = execute(
-            &g,
-            r#"SELECT ?s ?t WHERE {
+        let rs = g
+            .query(
+                r#"SELECT ?s ?t WHERE {
                 ?s <http://x/type> ?t .
                 FILTER(?t != <http://x/GradStudent>)
             }"#,
-        )
-        .unwrap();
+            )
+            .unwrap();
         assert_eq!(rs.len(), 2);
         // Equality filter between two variables.
-        let rs = execute(
-            &g,
-            r#"SELECT ?a WHERE {
+        let rs = g
+            .query(
+                r#"SELECT ?a WHERE {
                 ?a <http://x/teacherOf> ?c .
                 ?b <http://x/teachingAssist> ?c .
                 FILTER(?c = "AI")
             }"#,
-        )
-        .unwrap();
+            )
+            .unwrap();
         assert_eq!(rs.rows, vec![vec![iri("ID1")]]);
         // Filter against a term absent from the data: != passes all.
-        let rs = execute(
-            &g,
-            r#"SELECT ?s WHERE { ?s <http://x/type> ?t . FILTER(?t != <http://x/Nothing>) }"#,
-        )
-        .unwrap();
+        let rs = g
+            .query(
+                r#"SELECT ?s WHERE { ?s <http://x/type> ?t . FILTER(?t != <http://x/Nothing>) }"#,
+            )
+            .unwrap();
         assert_eq!(rs.len(), 4);
         // Unknown variable in a filter is an error.
-        let e = execute(&g, r#"SELECT ?s WHERE { ?s ?p ?o . FILTER(?zzz = ?s) }"#).unwrap_err();
+        let e = g.query(r#"SELECT ?s WHERE { ?s ?p ?o . FILTER(?zzz = ?s) }"#).unwrap_err();
         assert!(matches!(e, QueryError::UnknownVariable(_)));
     }
 
     #[test]
     fn tsv_rendering() {
         let g = figure1_graph();
-        let rs = execute(&g, r#"SELECT ?p WHERE { <http://x/ID2> ?p "MIT" . }"#).unwrap();
+        let rs = g.query(r#"SELECT ?p WHERE { <http://x/ID2> ?p "MIT" . }"#).unwrap();
         let tsv = rs.to_tsv();
         assert!(tsv.starts_with("p\n"));
         assert!(tsv.contains("worksFor"));
@@ -1371,9 +1296,9 @@ mod tests {
         // The parser accepts modifiers after ASK; existence semantics must
         // not change (the old path answered before applying them).
         let g = figure1_graph();
-        assert!(execute_ask(&g, r#"ASK { ?s <http://x/type> ?t . } LIMIT 0"#).unwrap());
-        assert!(execute_ask(&g, r#"ASK { ?s <http://x/type> ?t . } OFFSET 9 LIMIT 0"#).unwrap());
-        assert!(!execute_ask(&g, r#"ASK { ?s <http://x/nope> ?t . } LIMIT 0"#).unwrap());
+        assert!(g.ask(r#"ASK { ?s <http://x/type> ?t . } LIMIT 0"#).unwrap());
+        assert!(g.ask(r#"ASK { ?s <http://x/type> ?t . } OFFSET 9 LIMIT 0"#).unwrap());
+        assert!(!g.ask(r#"ASK { ?s <http://x/nope> ?t . } LIMIT 0"#).unwrap());
     }
 
     #[test]
@@ -1687,5 +1612,53 @@ mod tests {
         let rebound = prepare_on(&overlay, &dict, STAR_QUERY).unwrap();
         assert!(!rebound.explain().contains("join=merge"), "{}", rebound.explain());
         assert_eq!(rebound.run().len(), base.len() + 1);
+    }
+
+    #[test]
+    fn projection_drops_rows_with_unbound_slots() {
+        // The BGP binds ?0 and ?2; slot ?1 is bound by no pattern, so
+        // every row projecting it is dropped.
+        let g = figure1_graph();
+        let ty = g.dict().id_of(&iri("type")).unwrap();
+        let bgp = Bgp::new(vec![Pattern::new(
+            PatternTerm::Var(VarId(0)),
+            PatternTerm::Const(ty),
+            PatternTerm::Var(VarId(2)),
+        )]);
+        let query = |slots: Vec<VarId>| CompiledQuery {
+            bgp: Some(bgp.clone()),
+            vars: slots.iter().map(|v| format!("v{}", v.0)).collect(),
+            slots,
+            var_names: vec!["v0".into(), "v1".into(), "v2".into()],
+            distinct: false,
+            filters: Vec::new(),
+            ask: false,
+            limit: None,
+            offset: 0,
+        };
+        let bound = Plan::from_compiled(query(vec![VarId(0), VarId(2)]), g.dict(), g.store());
+        assert_eq!(bound.run().len(), 4);
+        let gap = Plan::from_compiled(query(vec![VarId(0), VarId(1)]), g.dict(), g.store());
+        assert!(gap.run().is_empty());
+    }
+
+    #[test]
+    fn too_many_variables_is_a_parse_error() {
+        // Slots are u16: 65,535 distinct variables still compile (the
+        // last slot is 65,534, so `var_count` fits), one more is refused.
+        let g = figure1_graph();
+        let text = |n: usize| {
+            let patterns: String = (0..n).map(|i| format!("?s{i} ?p ?o . ")).collect();
+            format!("SELECT ?p WHERE {{ {patterns}}}")
+        };
+        let at_limit = compile(&parse_query(&text(65_533)).unwrap(), g.dict()).unwrap();
+        assert_eq!(at_limit.bgp.unwrap().var_count, u16::MAX);
+        for n in [65_534, 70_000] {
+            match prepare_on(g.store(), g.dict(), &text(n)) {
+                Err(QueryError::Parse(e)) => assert!(e.message.contains("65535"), "{e}"),
+                Err(e) => panic!("{n} patterns: unexpected error {e}"),
+                Ok(_) => panic!("{n} patterns: more than 65,535 variables were accepted"),
+            }
+        }
     }
 }

@@ -11,20 +11,20 @@
 //! reduced index set (a [`hexastore::PartialHexastore`], the baselines)
 //! are probed through the access shapes they actually serve.
 //!
-//! Evaluation itself is *lazy*: [`BgpCursor`] walks the join tree
-//! depth-first and yields one binding row at a time through the stores'
-//! [`TripleStore::iter_matching`] cursors, so a consumer that stops early
-//! (ASK, LIMIT) never pays for the rows it does not read. The
-//! materializing [`execute_bgp`] entry points are retained as thin
-//! collectors over the cursor.
+//! Evaluation itself is *lazy* and has one walk: [`BgpCursor`] walks the
+//! join tree depth-first and yields one binding row at a time through the
+//! stores' [`TripleStore::iter_matching`] cursors, so a consumer that
+//! stops early (ASK, LIMIT) never pays for the rows it does not read. The
+//! walk fans out first either over the first pattern's store cursor or,
+//! when the planner compiled a leading merge group, over the group's
+//! pre-intersected sorted candidate list ([`merge_candidates`]);
+//! [`MergeCursor`] is the merge-mode cursor under its own name.
 
-use crate::algebra::{Bgp, Pattern, PatternTerm};
+use crate::algebra::{Bgp, Pattern, PatternTerm, VarId};
 use hex_dict::Id;
 use hexastore::{advisor, DatasetStats, IndexKind, Shape, TripleIter, TripleStore};
+use std::borrow::Cow;
 use std::cmp::Ordering;
-
-/// A set of binding rows; `None` marks an unbound slot.
-pub type Rows = Vec<Vec<Option<Id>>>;
 
 /// The join algorithm a plan step executes with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,8 +36,8 @@ pub enum JoinStep {
     /// Member of a leading merge group: the step's pattern has exactly
     /// one variable (shared by the whole group) and two constants, and
     /// its sorted candidate list is intersected once with the other
-    /// members' lists ([`MergeCursor`]) instead of being re-probed per
-    /// candidate.
+    /// members' lists ([`merge_candidates`]) instead of being re-probed
+    /// per candidate.
     MergeIntersect,
 }
 
@@ -203,7 +203,7 @@ pub fn plan_steps_with(
 const MERGE_MIN_CANDIDATES: usize = 2;
 
 /// If the pattern has exactly one variable position, returns it.
-fn lone_var(pat: &Pattern) -> Option<crate::algebra::VarId> {
+fn lone_var(pat: &Pattern) -> Option<VarId> {
     let mut var = None;
     for term in [pat.s, pat.p, pat.o] {
         if let PatternTerm::Var(v) = term {
@@ -231,13 +231,13 @@ fn lone_var(pat: &Pattern) -> Option<crate::algebra::VarId> {
 /// matching triple differs only in the unbound position, and the serving
 /// index lists bound positions first), which is exactly the order of the
 /// intersected sorted lists.
-fn annotate_merge_joins(store: &dyn TripleStore, bgp: &Bgp, steps: &mut Vec<PlanStep>) {
+fn annotate_merge_joins(store: &dyn TripleStore, bgp: &Bgp, steps: &mut [PlanStep]) {
     let Some(sla) = store.sorted_lists() else { return };
     if steps.len() < 2 {
         return;
     }
     let empty = bgp.empty_row();
-    let qualifies = |pi: usize| -> Option<crate::algebra::VarId> {
+    let qualifies = |pi: usize| -> Option<VarId> {
         let pat = &bgp.patterns[pi];
         let v = lone_var(pat)?;
         sla.sorted_list(pat.access(&empty))?;
@@ -254,25 +254,18 @@ fn annotate_merge_joins(store: &dyn TripleStore, bgp: &Bgp, steps: &mut Vec<Plan
     if est_min < MERGE_MIN_CANDIDATES {
         return;
     }
-    let mut grouped: Vec<PlanStep> = Vec::with_capacity(steps.len());
-    for (s, &g) in steps.iter().zip(&in_group) {
+    for (s, g) in steps.iter_mut().zip(in_group) {
         if g {
-            let mut s = *s;
             s.join = JoinStep::MergeIntersect;
-            grouped.push(s);
         }
     }
-    for (s, &g) in steps.iter().zip(&in_group) {
-        if !g {
-            grouped.push(*s);
-        }
-    }
-    *steps = grouped;
+    // A stable sort keeps each side's relative order.
+    steps.sort_by_key(|s| s.join != JoinStep::MergeIntersect);
 }
 
 /// The length and shared variable of the leading merge group of `steps`,
 /// if the planner compiled one (see `annotate_merge_joins`).
-pub fn merge_group(bgp: &Bgp, steps: &[PlanStep]) -> Option<(usize, crate::algebra::VarId)> {
+pub fn merge_group(bgp: &Bgp, steps: &[PlanStep]) -> Option<(usize, VarId)> {
     let k = steps.iter().take_while(|s| s.join == JoinStep::MergeIntersect).count();
     if k < 2 {
         return None;
@@ -296,11 +289,6 @@ pub fn merge_candidates(
     let lists: Option<Vec<&[Id]>> =
         order[..group].iter().map(|&i| sla.sorted_list(bgp.patterns[i].access(&empty))).collect();
     Some(hexastore::sorted::intersect_many(lists?))
-}
-
-/// Chooses the evaluation order: the pattern indices of [`plan_steps`].
-pub fn plan_order(store: &dyn TripleStore, bgp: &Bgp) -> Vec<usize> {
-    plan_steps(store, bgp).iter().map(|s| s.pattern).collect()
 }
 
 /// Extends one binding row with a matching triple, checking repeated
@@ -329,11 +317,35 @@ struct Level<'a> {
     row: Vec<Option<Id>>,
 }
 
+/// Where a [`BgpCursor`]'s walk fans out first.
+enum FirstFanOut<'a> {
+    /// The first pattern's store cursor, entered once from the all-unbound
+    /// row.
+    Store,
+    /// A merge group's pre-intersected values of `var`, ascending: each
+    /// position `[next, end)` seeds one row into the walk at the depth
+    /// past the group.
+    Candidates { var: VarId, list: Cow<'a, [Id]>, next: usize, end: usize },
+    /// The store cursor has been entered: nothing more to seed.
+    Spent,
+}
+
 /// A lazy depth-first BGP evaluator: an iterator of binding rows.
 ///
 /// Each `next()` call resumes the join-tree walk exactly where the last
 /// row was produced; dropping the cursor abandons the remaining work. This
 /// is what makes ASK stop at the first solution and `LIMIT k` after `k`.
+///
+/// The walk has one of two first fan-outs. By default it is the first
+/// pattern's store cursor. In merge mode (built through [`MergeCursor`]
+/// or a [`crate::Plan`] whose leading merge group the store can serve)
+/// it is the group's pre-intersected candidate list: the walk starts at
+/// depth `group` from a row binding only the shared variable, and checks
+/// attached to group depths are applied to that row. Both produce the
+/// same row sequence over the same plan order — the nested first step
+/// enumerates the shared variable ascending (the cursor-order invariant
+/// of `annotate_merge_joins`) and the other group members are existence
+/// checks, so their conjunction *is* the sorted intersection.
 pub struct BgpCursor<'a> {
     store: &'a dyn TripleStore,
     /// Patterns in execution order.
@@ -341,11 +353,15 @@ pub struct BgpCursor<'a> {
     /// Per-depth row predicates (same length as `patterns`).
     checks: Vec<Vec<RowCheck<'a>>>,
     stack: Vec<Level<'a>>,
-    /// The pre-first-step row; `Some` until iteration starts.
-    start: Option<Vec<Option<Id>>>,
-    /// Restrict the first step to a `[start, end)` slice of its candidate
-    /// range — the shard boundary of parallel execution.
+    /// The all-unbound row every walk starts from.
+    template: Vec<Option<Id>>,
+    first: FirstFanOut<'a>,
+    /// Restricts the first pattern's store cursor to the `[start, end)`
+    /// positions of its matches — the shard boundary of parallel
+    /// execution.
     first_range: Option<(usize, usize)>,
+    /// The depth of the bottom stack level: 0, or the merge group's size.
+    base: usize,
     /// LIMIT pushdown: stop the whole walk after this many rows.
     demand: Option<usize>,
     /// Rows produced so far (tracked only to honor `demand`).
@@ -363,26 +379,55 @@ impl<'a> BgpCursor<'a> {
             patterns,
             checks,
             stack: Vec::new(),
-            start: Some(bgp.empty_row()),
+            template: bgp.empty_row(),
+            first: FirstFanOut::Store,
             first_range: None,
+            base: 0,
             demand: None,
             produced: 0,
         }
     }
 
-    /// Restricts the first step to the `[start, end)` slice of its
-    /// candidate sequence (positions in [`TripleStore::iter_matching`]
-    /// order), via [`TripleStore::iter_matching_range`].
+    /// Creates a merge-mode cursor: the first `group` steps of `order`
+    /// are replaced by the pre-intersected `candidates` of variable `var`
+    /// (see [`merge_candidates`]).
+    pub(crate) fn merged(
+        store: &'a dyn TripleStore,
+        bgp: &Bgp,
+        order: &[usize],
+        group: usize,
+        var: VarId,
+        candidates: Cow<'a, [Id]>,
+    ) -> Self {
+        assert!((1..=order.len()).contains(&group), "merge group must be a non-empty prefix");
+        let end = candidates.len();
+        BgpCursor {
+            first: FirstFanOut::Candidates { var, list: candidates, next: 0, end },
+            base: group,
+            ..BgpCursor::new(store, bgp, order)
+        }
+    }
+
+    /// Restricts the first fan-out to its `[start, end)` positions: the
+    /// first pattern's matches in [`TripleStore::iter_matching`] order
+    /// (via [`TripleStore::iter_matching_range`]), or the merge
+    /// candidates.
     ///
     /// This is the sharding hook of parallel execution: cursors over
     /// contiguous, non-overlapping slices that cover `[0, n)` (with `n`
-    /// the first pattern's `count_matching`) together produce — in slice
-    /// order — exactly the row sequence of an unrestricted cursor,
-    /// because only the *first* join level fans the walk out and deeper
-    /// levels depend on nothing outside their row. Must be called before
-    /// the first `next()`.
+    /// the first pattern's `count_matching`, or the candidate count)
+    /// together produce — in slice order — exactly the row sequence of an
+    /// unrestricted cursor, because only the first fan-out spans the walk
+    /// and deeper levels depend on nothing outside their row. Must be
+    /// called before the first `next()`.
     pub fn restrict_first(&mut self, start: usize, end: usize) {
-        self.first_range = Some((start, end));
+        match &mut self.first {
+            FirstFanOut::Candidates { list, next, end: stop, .. } => {
+                *stop = end.min(list.len());
+                *next = start.min(*stop);
+            }
+            _ => self.first_range = Some((start, end)),
+        }
     }
 
     /// Attaches a predicate to the step at `depth` (0-based, execution
@@ -400,6 +445,31 @@ impl<'a> BgpCursor<'a> {
     pub fn set_demand(&mut self, demand: Option<usize>) {
         self.demand = demand;
     }
+
+    /// The next row the first fan-out seeds the walk with at depth
+    /// `base`.
+    fn next_seed(&mut self) -> Option<Vec<Option<Id>>> {
+        match &mut self.first {
+            FirstFanOut::Store => {
+                self.first = FirstFanOut::Spent;
+                Some(std::mem::take(&mut self.template))
+            }
+            FirstFanOut::Candidates { var, list, next, end } => {
+                while *next < *end {
+                    let mut row = self.template.clone();
+                    row[var.index()] = Some(list[*next]);
+                    *next += 1;
+                    // Only the shared variable is bound this early, so
+                    // the group depths' checks all apply to the seed.
+                    if self.checks[..self.base].iter().flatten().all(|check| check(&row)) {
+                        return Some(row);
+                    }
+                }
+                None
+            }
+            FirstFanOut::Spent => None,
+        }
+    }
 }
 
 impl Iterator for BgpCursor<'_> {
@@ -409,151 +479,23 @@ impl Iterator for BgpCursor<'_> {
         if self.demand.is_some_and(|d| self.produced >= d) {
             // Demand met: abandon the walk eagerly (free the iterators).
             self.stack.clear();
-            self.start = None;
-            return None;
-        }
-        if let Some(row) = self.start.take() {
-            match self.patterns.first() {
-                // An empty BGP has exactly one solution: the empty row.
-                None => {
-                    self.produced += 1;
-                    return Some(row);
-                }
-                Some(first) => {
-                    let pat = first.access(&row);
-                    let iter = match self.first_range {
-                        Some((a, b)) => self.store.iter_matching_range(pat, a, b),
-                        None => self.store.iter_matching(pat),
-                    };
-                    self.stack.push(Level { iter, row });
-                }
-            }
-        }
-        while let Some(depth) = self.stack.len().checked_sub(1) {
-            let level = self.stack.last_mut().expect("stack is non-empty");
-            let Some(t) = level.iter.next() else {
-                self.stack.pop();
-                continue;
-            };
-            let Some(extended) = extend_row(&level.row, &self.patterns[depth], t) else {
-                continue;
-            };
-            if !self.checks[depth].iter().all(|check| check(&extended)) {
-                continue;
-            }
-            match self.patterns.get(depth + 1) {
-                None => {
-                    self.produced += 1;
-                    return Some(extended);
-                }
-                Some(next_pat) => {
-                    let iter = self.store.iter_matching(next_pat.access(&extended));
-                    self.stack.push(Level { iter, row: extended });
-                }
-            }
-        }
-        None
-    }
-}
-
-/// A lazy BGP evaluator whose leading merge group is executed as one
-/// sorted-list intersection: the already-intersected `candidates` are the
-/// values of the group's shared variable satisfying all group patterns,
-/// ascending, and each seeds the unchanged nested walk over the remaining
-/// (tail) patterns. Produces exactly the row sequence of a [`BgpCursor`]
-/// over the same plan order: the nested first step enumerates the shared
-/// variable ascending (cursor-order invariant) and the other group
-/// members are existence checks, so their conjunction *is* the sorted
-/// intersection.
-pub struct MergeCursor<'a> {
-    store: &'a dyn TripleStore,
-    /// Patterns after the merge group, in execution order.
-    tail: Vec<Pattern>,
-    /// Per-depth row predicates over the *full* plan order: depths below
-    /// `group` are applied to each seeded candidate row, the rest at
-    /// their tail level.
-    checks: Vec<Vec<RowCheck<'a>>>,
-    group: usize,
-    var: crate::algebra::VarId,
-    /// The all-unbound row candidates are seeded into.
-    template: Vec<Option<Id>>,
-    candidates: Vec<Id>,
-    pos: usize,
-    stack: Vec<Level<'a>>,
-    demand: Option<usize>,
-    produced: usize,
-}
-
-impl<'a> MergeCursor<'a> {
-    /// Creates a cursor evaluating `bgp`'s patterns in `order`, with the
-    /// first `group` steps replaced by the pre-intersected `candidates`
-    /// of variable `var` (see [`merge_candidates`]).
-    pub fn new(
-        store: &'a dyn TripleStore,
-        bgp: &Bgp,
-        order: &[usize],
-        group: usize,
-        var: crate::algebra::VarId,
-        candidates: Vec<Id>,
-    ) -> Self {
-        assert_eq!(order.len(), bgp.patterns.len(), "order must cover every pattern");
-        assert!((1..=order.len()).contains(&group), "merge group must be a non-empty prefix");
-        let tail: Vec<Pattern> = order[group..].iter().map(|&i| bgp.patterns[i]).collect();
-        let checks = (0..order.len()).map(|_| Vec::new()).collect();
-        MergeCursor {
-            store,
-            tail,
-            checks,
-            group,
-            var,
-            template: bgp.empty_row(),
-            candidates,
-            pos: 0,
-            stack: Vec::new(),
-            demand: None,
-            produced: 0,
-        }
-    }
-
-    /// Attaches a predicate to the step at `depth` (0-based over the full
-    /// plan order, exactly as [`BgpCursor::add_check`] counts depths).
-    pub fn add_check(&mut self, depth: usize, check: RowCheck<'a>) {
-        self.checks[depth].push(check);
-    }
-
-    /// Pushes a LIMIT into the walk; same contract as
-    /// [`BgpCursor::set_demand`].
-    pub fn set_demand(&mut self, demand: Option<usize>) {
-        self.demand = demand;
-    }
-}
-
-impl Iterator for MergeCursor<'_> {
-    type Item = Vec<Option<Id>>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.demand.is_some_and(|d| self.produced >= d) {
-            // Demand met: abandon the walk eagerly (free the iterators).
-            self.stack.clear();
-            self.pos = self.candidates.len();
             return None;
         }
         loop {
-            // Resume the in-flight tail walk — the same depth-first loop
-            // as BgpCursor, with check depths offset past the group.
-            while let Some(depth) = self.stack.len().checked_sub(1) {
+            while let Some(top) = self.stack.len().checked_sub(1) {
+                let depth = self.base + top;
                 let level = self.stack.last_mut().expect("stack is non-empty");
                 let Some(t) = level.iter.next() else {
                     self.stack.pop();
                     continue;
                 };
-                let Some(extended) = extend_row(&level.row, &self.tail[depth], t) else {
+                let Some(extended) = extend_row(&level.row, &self.patterns[depth], t) else {
                     continue;
                 };
-                if !self.checks[self.group + depth].iter().all(|check| check(&extended)) {
+                if !self.checks[depth].iter().all(|check| check(&extended)) {
                     continue;
                 }
-                match self.tail.get(depth + 1) {
+                match self.patterns.get(depth + 1) {
                     None => {
                         self.produced += 1;
                         return Some(extended);
@@ -564,67 +506,72 @@ impl Iterator for MergeCursor<'_> {
                     }
                 }
             }
-            // Seed the next candidate. Checks attached to group depths
-            // can only read the shared variable (nothing else is bound
-            // that early), so applying them all to the seeded row prunes
-            // exactly as the nested walk would.
-            loop {
-                if self.pos >= self.candidates.len() {
-                    return None;
+            // The stack is drained: restart from the first fan-out.
+            let row = self.next_seed()?;
+            match self.patterns.get(self.base) {
+                // No pattern past the seed (an empty BGP, or a merge group
+                // covering the whole BGP): the seed row is a solution.
+                None => {
+                    self.produced += 1;
+                    return Some(row);
                 }
-                let c = self.candidates[self.pos];
-                self.pos += 1;
-                let mut row = self.template.clone();
-                row[self.var.index()] = Some(c);
-                if !self.checks[..self.group].iter().flatten().all(|check| check(&row)) {
-                    continue;
-                }
-                match self.tail.first() {
-                    None => {
-                        self.produced += 1;
-                        return Some(row);
-                    }
-                    Some(first) => {
-                        let iter = self.store.iter_matching(first.access(&row));
-                        self.stack.push(Level { iter, row });
-                        break;
-                    }
+                Some(pat) => {
+                    let pat = pat.access(&row);
+                    let iter = match self.first_range.take() {
+                        Some((a, b)) => self.store.iter_matching_range(pat, a, b),
+                        None => self.store.iter_matching(pat),
+                    };
+                    self.stack.push(Level { iter, row });
                 }
             }
         }
     }
 }
 
-/// Evaluates a BGP, materializing all binding rows.
-pub fn execute_bgp(store: &dyn TripleStore, bgp: &Bgp) -> Rows {
-    execute_bgp_with_order(store, bgp, &plan_order(store, bgp))
+/// A [`BgpCursor`] in merge mode, under the name and constructor callers
+/// build it with: its leading merge group runs as one sorted-list
+/// intersection whose already-intersected `candidates` seed the walk over
+/// the remaining patterns.
+pub struct MergeCursor<'a>(BgpCursor<'a>);
+
+impl<'a> MergeCursor<'a> {
+    /// Creates a cursor evaluating `bgp`'s patterns in `order`, with the
+    /// first `group` steps replaced by the pre-intersected `candidates`
+    /// of variable `var` (see [`merge_candidates`]).
+    pub fn new(
+        store: &'a dyn TripleStore,
+        bgp: &Bgp,
+        order: &[usize],
+        group: usize,
+        var: VarId,
+        candidates: Vec<Id>,
+    ) -> Self {
+        MergeCursor(BgpCursor::merged(store, bgp, order, group, var, Cow::Owned(candidates)))
+    }
+
+    /// Attaches a predicate to the step at `depth` (0-based over the full
+    /// plan order); see [`BgpCursor::add_check`].
+    pub fn add_check(&mut self, depth: usize, check: RowCheck<'a>) {
+        self.0.add_check(depth, check);
+    }
+
+    /// Pushes a LIMIT into the walk; see [`BgpCursor::set_demand`].
+    pub fn set_demand(&mut self, demand: Option<usize>) {
+        self.0.set_demand(demand);
+    }
 }
 
-/// Evaluates a BGP with an explicit pattern order (for tests and plan
-/// ablation benches), materializing all binding rows.
-pub fn execute_bgp_with_order(store: &dyn TripleStore, bgp: &Bgp, order: &[usize]) -> Rows {
-    BgpCursor::new(store, bgp, order).collect()
-}
+impl Iterator for MergeCursor<'_> {
+    type Item = Vec<Option<Id>>;
 
-/// Projects rows onto chosen variable slots, dropping rows where a
-/// projected slot is unbound.
-pub fn project(rows: &Rows, slots: &[crate::algebra::VarId]) -> Vec<Vec<Id>> {
-    rows.iter()
-        .filter_map(|row| slots.iter().map(|v| row[v.index()]).collect::<Option<Vec<Id>>>())
-        .collect()
-}
-
-/// Sorts and deduplicates projected rows.
-pub fn distinct(mut rows: Vec<Vec<Id>>) -> Vec<Vec<Id>> {
-    rows.sort_unstable();
-    rows.dedup();
-    rows
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::VarId;
     use hex_dict::IdTriple;
     use hexastore::{Hexastore, IdPattern};
     use std::cell::Cell;
@@ -639,6 +586,32 @@ mod tests {
 
     fn t(s: u32, p: u32, o: u32) -> IdTriple {
         IdTriple::from((s, p, o))
+    }
+
+    type Rows = Vec<Vec<Option<Id>>>;
+
+    /// The pattern indices of `steps`, in execution order.
+    fn order_of(steps: &[PlanStep]) -> Vec<usize> {
+        steps.iter().map(|s| s.pattern).collect()
+    }
+
+    /// Every binding row of `bgp`, walked in `order`.
+    fn walk(store: &dyn TripleStore, bgp: &Bgp, order: &[usize]) -> Rows {
+        BgpCursor::new(store, bgp, order).collect()
+    }
+
+    /// Every binding row of `bgp`, walked in the planner's order.
+    fn planned(store: &dyn TripleStore, bgp: &Bgp) -> Rows {
+        walk(store, bgp, &order_of(&plan_steps(store, bgp)))
+    }
+
+    /// The distinct projections of `rows` onto `slots`, ascending.
+    fn project_distinct(rows: &Rows, slots: &[VarId]) -> Vec<Vec<Id>> {
+        let mut out: Vec<Vec<Id>> =
+            rows.iter().filter_map(|row| slots.iter().map(|v| row[v.index()]).collect()).collect();
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     /// advisor = 100, worksFor = 101, type = 102; people 1..6, MIT = 50,
@@ -659,8 +632,8 @@ mod tests {
     fn single_pattern_selection() {
         let store = academic();
         let bgp = Bgp::new(vec![Pattern::new(v(0), c(100), c(1))]);
-        let rows = execute_bgp(&store, &bgp);
-        let got = distinct(project(&rows, &[VarId(0)]));
+        let rows = planned(&store, &bgp);
+        let got = project_distinct(&rows, &[VarId(0)]);
         assert_eq!(got, vec![vec![Id(3)], vec![Id(4)]]);
     }
 
@@ -670,8 +643,8 @@ mod tests {
         let store = academic();
         let bgp =
             Bgp::new(vec![Pattern::new(v(0), c(100), v(1)), Pattern::new(v(1), c(101), c(50))]);
-        let rows = execute_bgp(&store, &bgp);
-        let got = distinct(project(&rows, &[VarId(0)]));
+        let rows = planned(&store, &bgp);
+        let got = project_distinct(&rows, &[VarId(0)]);
         assert_eq!(got, vec![vec![Id(3)], vec![Id(4)]]);
     }
 
@@ -684,18 +657,18 @@ mod tests {
             Pattern::new(v(1), c(101), v(2)),
         ]);
         let reference = {
-            let mut r = execute_bgp_with_order(&store, &bgp, &[0, 1, 2]);
+            let mut r = walk(&store, &bgp, &[0, 1, 2]);
             r.sort();
             r
         };
         for order in [[0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
-            let mut rows = execute_bgp_with_order(&store, &bgp, &order);
+            let mut rows = walk(&store, &bgp, &order);
             rows.sort();
             assert_eq!(rows, reference, "order {order:?}");
         }
-        let mut planned = execute_bgp(&store, &bgp);
-        planned.sort();
-        assert_eq!(planned, reference);
+        let mut rows = planned(&store, &bgp);
+        rows.sort();
+        assert_eq!(rows, reference);
     }
 
     #[test]
@@ -704,8 +677,8 @@ mod tests {
         let mut store = academic();
         store.insert(t(7, 100, 7));
         let bgp = Bgp::new(vec![Pattern::new(v(0), v(1), v(0))]);
-        let rows = execute_bgp(&store, &bgp);
-        let got = distinct(project(&rows, &[VarId(0)]));
+        let rows = planned(&store, &bgp);
+        let got = project_distinct(&rows, &[VarId(0)]);
         assert_eq!(got, vec![vec![Id(7)]]);
     }
 
@@ -715,8 +688,8 @@ mod tests {
         // related to 50. 1 -worksFor-> 50, so find ?b with ?b -worksFor-> 51.
         let store = academic();
         let bgp = Bgp::new(vec![Pattern::new(c(1), v(0), c(50)), Pattern::new(v(1), v(0), c(51))]);
-        let rows = execute_bgp(&store, &bgp);
-        let got = distinct(project(&rows, &[VarId(1)]));
+        let rows = planned(&store, &bgp);
+        let got = project_distinct(&rows, &[VarId(1)]);
         assert_eq!(got, vec![vec![Id(2)]]);
     }
 
@@ -727,21 +700,14 @@ mod tests {
             Pattern::new(v(0), c(100), c(999)), // nothing
             Pattern::new(v(0), c(102), c(60)),
         ]);
-        assert!(execute_bgp(&store, &bgp).is_empty());
+        assert!(planned(&store, &bgp).is_empty());
     }
 
     #[test]
     fn empty_bgp_yields_one_empty_row() {
         let store = academic();
         let bgp = Bgp::new(vec![]);
-        assert_eq!(execute_bgp(&store, &bgp), vec![Vec::<Option<Id>>::new()]);
-    }
-
-    #[test]
-    fn projection_drops_rows_with_unbound_slots() {
-        let rows: Rows = vec![vec![Some(Id(1)), None], vec![Some(Id(2)), Some(Id(3))]];
-        let projected = project(&rows, &[VarId(0), VarId(1)]);
-        assert_eq!(projected, vec![vec![Id(2), Id(3)]]);
+        assert_eq!(planned(&store, &bgp), vec![Vec::<Option<Id>>::new()]);
     }
 
     #[test]
@@ -751,7 +717,7 @@ mod tests {
         // pattern first.
         let bgp =
             Bgp::new(vec![Pattern::new(v(0), c(100), v(1)), Pattern::new(v(1), c(102), c(60))]);
-        let order = plan_order(&store, &bgp);
+        let order = order_of(&plan_steps(&store, &bgp));
         assert_eq!(order[0], 1);
     }
 
@@ -787,9 +753,9 @@ mod tests {
         let steps = plan_steps(&partial, &bgp);
         assert!(steps.iter().all(PlanStep::indexed), "all steps servable: {steps:?}");
         // And execution agrees with the full store.
-        let mut got = execute_bgp(&partial, &bgp);
+        let mut got = planned(&partial, &bgp);
         got.sort();
-        let mut expected = execute_bgp(&academic(), &bgp);
+        let mut expected = planned(&academic(), &bgp);
         expected.sort();
         assert_eq!(got, expected);
     }
@@ -839,16 +805,8 @@ mod tests {
             assert_eq!(step.cost, step.estimate as f64);
         }
         // Both orders produce the same rows.
-        let mut a = execute_bgp_with_order(
-            &store,
-            &bgp,
-            &plain.iter().map(|s| s.pattern).collect::<Vec<_>>(),
-        );
-        let mut b = execute_bgp_with_order(
-            &store,
-            &bgp,
-            &refined.iter().map(|s| s.pattern).collect::<Vec<_>>(),
-        );
+        let mut a = walk(&store, &bgp, &order_of(&plain));
+        let mut b = walk(&store, &bgp, &order_of(&refined));
         a.sort();
         b.sort();
         assert_eq!(a, b);
@@ -940,7 +898,7 @@ mod tests {
         let yielded = Cell::new(0);
         let counting = Counting { inner: &store, yielded: &yielded };
         let bgp = Bgp::new(vec![Pattern::new(v(0), c(100), v(1))]);
-        let order = plan_order(&counting, &bgp);
+        let order = order_of(&plan_steps(&counting, &bgp));
         let mut cursor = BgpCursor::new(&counting, &bgp, &order);
         assert!(cursor.next().is_some());
         assert!(yielded.get() <= 2, "one row pulled, {} triples visited", yielded.get());
@@ -970,7 +928,7 @@ mod tests {
         let store = academic();
         let bgp =
             Bgp::new(vec![Pattern::new(v(0), c(100), v(1)), Pattern::new(v(1), c(101), v(2))]);
-        let order = plan_order(&store, &bgp);
+        let order = order_of(&plan_steps(&store, &bgp));
         let reference: Rows = BgpCursor::new(&store, &bgp, &order).collect();
         let n = store.count_matching(bgp.patterns[order[0]].access(&bgp.empty_row()));
         for shards in 1..=n + 2 {
@@ -995,7 +953,7 @@ mod tests {
         cursor.add_check(0, Box::new(|row| row[1] == Some(Id(1))));
         let rows: Rows = cursor.collect();
         // Only students advised by 1 survive: 3 and 4, joined to MIT.
-        let got = distinct(project(&rows, &[VarId(0)]));
+        let got = project_distinct(&rows, &[VarId(0)]);
         assert_eq!(got, vec![vec![Id(3)], vec![Id(4)]]);
     }
 
@@ -1068,7 +1026,7 @@ mod tests {
         let store = merge_star();
         let bgp = merge_star_bgp();
         let steps = plan_steps(&store, &bgp);
-        let order: Vec<usize> = steps.iter().map(|s| s.pattern).collect();
+        let order = order_of(&steps);
         let cands = merge_candidates(&store, &bgp, &order, 2).unwrap();
         let expected: Vec<Id> = (0..60).filter(|s| s % 6 == 0).map(Id).collect();
         assert_eq!(cands, expected);
@@ -1079,7 +1037,7 @@ mod tests {
         let store = merge_star();
         let bgp = merge_star_bgp();
         let steps = plan_steps(&store, &bgp);
-        let order: Vec<usize> = steps.iter().map(|s| s.pattern).collect();
+        let order = order_of(&steps);
         let (group, var) = merge_group(&bgp, &steps).unwrap();
         let cands = merge_candidates(&store, &bgp, &order, group).unwrap();
         let merged: Rows = MergeCursor::new(&store, &bgp, &order, group, var, cands).collect();
@@ -1094,7 +1052,7 @@ mod tests {
         let bgp =
             Bgp::new(vec![Pattern::new(v(0), c(201), c(8)), Pattern::new(v(0), c(202), c(9))]);
         let steps = plan_steps(&store, &bgp);
-        let order: Vec<usize> = steps.iter().map(|s| s.pattern).collect();
+        let order = order_of(&steps);
         let (group, var) = merge_group(&bgp, &steps).unwrap();
         assert_eq!(group, 2, "no tail");
         let cands = merge_candidates(&store, &bgp, &order, group).unwrap();
@@ -1108,7 +1066,7 @@ mod tests {
         let store = merge_star();
         let bgp = merge_star_bgp();
         let steps = plan_steps(&store, &bgp);
-        let order: Vec<usize> = steps.iter().map(|s| s.pattern).collect();
+        let order = order_of(&steps);
         let (group, var) = merge_group(&bgp, &steps).unwrap();
         let cands = merge_candidates(&store, &bgp, &order, group).unwrap();
         let build = |with_checks: bool| -> (Rows, Rows) {
@@ -1131,6 +1089,31 @@ mod tests {
     }
 
     #[test]
+    fn restricted_merge_shards_reassemble_the_full_cursor() {
+        // In merge mode the first fan-out is the candidate list: shards
+        // over contiguous candidate ranges, each borrowing the one list,
+        // concatenate to the unrestricted walk.
+        let store = merge_star();
+        let bgp = merge_star_bgp();
+        let steps = plan_steps(&store, &bgp);
+        let order = order_of(&steps);
+        let (group, var) = merge_group(&bgp, &steps).unwrap();
+        let cands = merge_candidates(&store, &bgp, &order, group).unwrap();
+        let reference: Rows = walk(&store, &bgp, &order);
+        let n = cands.len();
+        for shards in 1..=n + 2 {
+            let mut merged = Rows::new();
+            for w in 0..shards {
+                let list = Cow::Borrowed(&cands[..]);
+                let mut cursor = BgpCursor::merged(&store, &bgp, &order, group, var, list);
+                cursor.restrict_first(w * n / shards, (w + 1) * n / shards);
+                merged.extend(cursor);
+            }
+            assert_eq!(merged, reference, "{shards} shards over {n} candidates");
+        }
+    }
+
+    #[test]
     fn merge_cursor_demand_stops_the_walk() {
         let store = merge_star();
         let yielded = Cell::new(0);
@@ -1139,7 +1122,7 @@ mod tests {
         // Plan against the raw store (the wrapper has no sorted lists);
         // execute the merge cursor against the wrapper for tail counting.
         let steps = plan_steps(&store, &bgp);
-        let order: Vec<usize> = steps.iter().map(|s| s.pattern).collect();
+        let order = order_of(&steps);
         let (group, var) = merge_group(&bgp, &steps).unwrap();
         let cands = merge_candidates(&store, &bgp, &order, group).unwrap();
         let mut cursor = MergeCursor::new(&counting, &bgp, &order, group, var, cands);
@@ -1167,7 +1150,7 @@ mod tests {
         // And the runtime fallback: a merge-annotated plan's candidates
         // cannot be served by this store.
         let merge_steps = plan_steps(&store, &bgp);
-        let order: Vec<usize> = merge_steps.iter().map(|s| s.pattern).collect();
+        let order = order_of(&merge_steps);
         assert_eq!(merge_candidates(&counting, &bgp, &order, 2), None);
     }
 
@@ -1193,7 +1176,7 @@ mod tests {
         let steps = plan_steps(&store, &bgp);
         assert_eq!(merge_group(&bgp, &steps), None);
         // Still correct: self-loop 8 advised... joined with (8,202,9).
-        let rows = execute_bgp(&store, &bgp);
-        assert_eq!(distinct(project(&rows, &[VarId(0)])), vec![vec![Id(8)]]);
+        let rows = planned(&store, &bgp);
+        assert_eq!(project_distinct(&rows, &[VarId(0)]), vec![vec![Id(8)]]);
     }
 }

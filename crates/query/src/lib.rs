@@ -4,14 +4,16 @@
 //!
 //! - [`algebra`] — basic graph patterns over dictionary ids;
 //! - [`exec`] — streaming, selectivity- and index-aware BGP execution
-//!   against any [`hexastore::TripleStore`];
+//!   against any [`hexastore::TripleStore`]: one depth-first join walk
+//!   ([`BgpCursor`]) whose first fan-out is the first pattern's store
+//!   cursor or a merge group's pre-intersected sorted candidate list;
 //! - [`ops`] — the counting/grouping operators the paper's benchmark
 //!   queries aggregate with;
 //! - [`path`] — path-expression evaluation with merge-join accounting
 //!   (paper §4.3), plus transitive closure;
 //! - [`parallel`] — parallel BGP execution: [`Plan::run_parallel`]
-//!   shards the first step's candidate range across worker threads and
-//!   merges in shard order, byte-identical to the single-threaded walk;
+//!   shards that first fan-out across worker threads and merges in shard
+//!   order, byte-identical to the single-threaded walk;
 //! - [`parser`] / [`engine`] — a small SPARQL-like language, compiled
 //!   against a dictionary and planned/executed on any store.
 //!
@@ -29,9 +31,10 @@
 //! demand). The [`DatasetQuery`] trait puts the same surface on every
 //! string-level [`hexastore::Dataset`] facade — mutable, frozen or
 //! partial — and [`prepare_with_stats`] refines the join order with
-//! [`hexastore::DatasetStats`] bound-variable fan-out. The one-call
-//! [`execute`]/[`execute_on`]/[`execute_ask`] functions are thin shims
-//! over the same machinery.
+//! [`hexastore::DatasetStats`] bound-variable fan-out. Every run —
+//! [`Plan::solutions`], [`Plan::run`] or one shard of
+//! [`Plan::run_parallel`] — walks a [`BgpCursor`] built in one place from
+//! the plan.
 //!
 //! ## Example
 //!
@@ -68,13 +71,12 @@ pub mod path;
 
 pub use algebra::{Bgp, Pattern, PatternTerm, VarId};
 pub use engine::{
-    compile, execute, execute_ask, execute_compiled, execute_on, prepare, prepare_on,
-    prepare_on_with_stats, prepare_with_stats, CompiledFilter, CompiledQuery, DatasetQuery,
-    FilterSide, Plan, PlanCache, QueryError, ResultSet, Solutions,
+    compile, prepare, prepare_on, prepare_on_with_stats, prepare_with_stats, CompiledFilter,
+    CompiledQuery, DatasetQuery, FilterSide, Plan, PlanCache, QueryError, ResultSet, Solutions,
 };
 pub use exec::{
-    execute_bgp, execute_bgp_with_order, merge_candidates, merge_group, plan_order, plan_steps,
-    plan_steps_with, BgpCursor, JoinStep, MergeCursor, PlanStep, RowCheck,
+    merge_candidates, merge_group, plan_steps, plan_steps_with, BgpCursor, JoinStep, MergeCursor,
+    PlanStep, RowCheck,
 };
 pub use parser::{parse_query, FilterExpr, FilterOp, FilterOperand, ParseError, ParsedQuery};
 pub use path::{

@@ -20,12 +20,13 @@
 //! sits at position `≥ j` of the concatenation, so each shard can stop at
 //! the global `offset + limit` demand independently.
 //!
-//! Merge-group plans (see [`crate::exec::MergeCursor`]) shard the same
-//! way one level up: the group's sorted lists are intersected once on
-//! the calling thread and the *candidate vector* is split into
-//! contiguous slices, one [`crate::exec::MergeCursor`] per worker.
+//! Merge-group plans shard the same way one level up: the group's
+//! sorted lists are intersected once on the calling thread and each
+//! worker's cursor borrows a contiguous slice of the *candidate list* as
+//! its first fan-out. Either way a shard is the one cursor every plan
+//! runs, restricted to `[from, to)` of its first fan-out.
 //! DISTINCT+LIMIT queries additionally cap each shard at `offset +
-//! limit` locally-distinct projected rows (`Plan::distinct_shard_cap`):
+//! limit` locally-distinct projected rows (`Prepared::distinct_shard_cap`):
 //! any global winner is among the first that many distinct rows of its
 //! own shard, so the cap never drops one.
 //!
@@ -36,13 +37,13 @@
 
 use crate::algebra::VarId;
 use crate::engine::{Plan, ResultSet};
-use crate::exec::{merge_candidates, merge_group, BgpCursor, MergeCursor};
 use hex_dict::Id;
 use hexastore::TripleStore;
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// Drains one shard's cursor into its row vector. With `cap` set
-/// (parallel DISTINCT+LIMIT — see `Plan::distinct_shard_cap` for the
+/// (parallel DISTINCT+LIMIT — see `Prepared::distinct_shard_cap` for the
 /// soundness argument) the worker keeps a local seen-set of projected
 /// rows and stops once it holds `cap` entries; rows whose projection is
 /// undefined or locally duplicated are dropped, since the downstream
@@ -108,77 +109,39 @@ impl Plan<'_> {
             "run_parallel must be handed the same store the plan was prepared against"
         );
         let query = self.query();
-        let bgp = match (&query.bgp, self.is_statically_empty()) {
-            (Some(bgp), false) if !bgp.patterns.is_empty() => bgp,
+        let prepared = self.prepared();
+        let bgp = match prepared.bgp() {
+            Some(bgp) if !bgp.patterns.is_empty() => bgp,
             _ => return self.run(),
         };
         if threads <= 1 || query.ask {
             return self.run();
         }
-        let order = self.order();
-        let demand = self.pushdown_demand();
-        let shard_cap = self.distinct_shard_cap();
-        let step_filters = self.step_filters();
-        let slots = &query.slots[..];
-
-        // Merge-group plans: intersect the group's sorted lists once on
-        // this thread, then shard the *merged candidate vector* — each
-        // worker seeds its contiguous slice of survivors into the tail
-        // walk. Concatenating shard outputs in slice order reproduces the
-        // serial MergeCursor sequence exactly, so the byte-identity
-        // argument is the same as for first-step range sharding.
-        let merge = merge_group(bgp, self.steps())
-            .and_then(|(g, var)| Some((g, var, merge_candidates(store, bgp, &order, g)?)));
-        if let Some((group, var, candidates)) = merge {
-            let n = candidates.len();
-            let workers = threads.min(n);
-            if workers <= 1 {
-                return self.run();
+        // The first fan-out's extent: the merge group's candidates,
+        // intersected once here and borrowed by every shard, or the first
+        // pattern's matches. Concatenating the shards' outputs in range
+        // order reproduces the serial cursor's row sequence exactly.
+        let candidates = prepared.merge_candidates(bgp, store);
+        let n = match &candidates {
+            Some(list) => list.len(),
+            None => {
+                store.count_matching(bgp.patterns[self.steps()[0].pattern].access(&bgp.empty_row()))
             }
-            let (order, candidates) = (&order, &candidates);
-            let shards: Vec<Vec<Vec<Option<Id>>>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let (from, to) = (w * n / workers, (w + 1) * n / workers);
-                        scope.spawn(move || {
-                            let slice = candidates[from..to].to_vec();
-                            let mut cursor = MergeCursor::new(store, bgp, order, group, var, slice);
-                            for (depth, filters) in step_filters.iter().enumerate() {
-                                for &f in filters {
-                                    cursor.add_check(depth, Box::new(move |row| f.accepts(row)));
-                                }
-                            }
-                            cursor.set_demand(demand);
-                            collect_shard(cursor, slots, shard_cap)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("query worker panicked")).collect()
-            });
-            let merged = shards.into_iter().flatten();
-            let rows = self.solutions_over(Some(Box::new(merged))).collect();
-            return ResultSet { vars: query.vars.clone(), rows };
-        }
-
-        let n = store.count_matching(bgp.patterns[order[0]].access(&bgp.empty_row()));
+        };
         let workers = threads.min(n);
         if workers <= 1 {
             return self.run();
         }
-        let order = &order;
+        let candidates = candidates.as_deref();
+        let shard_cap = prepared.distinct_shard_cap();
+        let slots = &query.slots[..];
         let shards: Vec<Vec<Vec<Option<Id>>>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    let (from, to) = (w * n / workers, (w + 1) * n / workers);
+                    let shard = (w * n / workers, (w + 1) * n / workers);
                     scope.spawn(move || {
-                        let mut cursor = BgpCursor::new(store, bgp, order);
-                        cursor.restrict_first(from, to);
-                        for (depth, filters) in step_filters.iter().enumerate() {
-                            for &f in filters {
-                                cursor.add_check(depth, Box::new(move |row| f.accepts(row)));
-                            }
-                        }
-                        cursor.set_demand(demand);
+                        let candidates = candidates.map(Cow::Borrowed);
+                        let cursor = prepared.cursor(bgp, store, candidates, Some(shard));
                         collect_shard(cursor, slots, shard_cap)
                     })
                 })

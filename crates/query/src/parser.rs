@@ -149,7 +149,9 @@ impl<'a> Parser<'a> {
     fn eat_keyword(&mut self, kw: &str) -> bool {
         self.skip_ws();
         let r = self.rest();
-        if r.len() >= kw.len() && r[..kw.len()].eq_ignore_ascii_case(kw) {
+        // Compare bytes: `kw` is ASCII, so a match ends on a char boundary,
+        // while slicing the text at `kw.len()` could split a character.
+        if r.as_bytes().get(..kw.len()).is_some_and(|b| b.eq_ignore_ascii_case(kw.as_bytes())) {
             let after = r[kw.len()..].chars().next();
             if after.is_none_or(|c| !c.is_ascii_alphanumeric() && c != '_') {
                 self.pos += kw.len();
@@ -541,5 +543,23 @@ mod tests {
         let e = parse_query("SELECT ?x WHERE { ?x ?p }").unwrap_err();
         assert!(e.offset > 0);
         assert!(e.to_string().contains("offset"));
+    }
+
+    #[test]
+    fn keywords_never_split_a_multibyte_character() {
+        // Each text puts a multi-byte character where a keyword's last
+        // byte would be; matching must fail cleanly, not slice mid-char.
+        for text in [
+            "aéééé",
+            "SELEé",
+            "ASé",
+            "SELECT DISTINé ?x WHERE { ?x ?p ?o }",
+            "SELECT ?x WHEé { ?x ?p ?o }",
+            "SELECT ?x WHERE { ?x ?p ?o FILTé(?x = ?o) }",
+            "SELECT ?x WHERE { ?x ?p ?o } LIMé 1",
+            "SELECT ?x WHERE { ?x ?p ?o } OFFSé 1",
+        ] {
+            assert!(parse_query(text).is_err(), "{text:?}");
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! shows up here.
 
 use hex_dict::{Id, IdTriple};
-use hex_query::{execute_bgp, Bgp, Pattern, PatternTerm, VarId};
+use hex_query::{plan_steps, Bgp, BgpCursor, Pattern, PatternTerm, VarId};
 use hexastore::{Hexastore, IdPattern, TripleStore};
 use proptest::prelude::*;
 
@@ -83,6 +83,12 @@ fn brute_force(store: &Hexastore, bgp: &Bgp) -> Vec<Vec<Option<Id>>> {
     results
 }
 
+/// The executor's binding rows for `bgp`, walked in the planner's order.
+fn planned_rows(store: &Hexastore, bgp: &Bgp) -> Vec<Vec<Option<Id>>> {
+    let order: Vec<usize> = plan_steps(store, bgp).iter().map(|s| s.pattern).collect();
+    BgpCursor::new(store, bgp, &order).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -92,7 +98,7 @@ proptest! {
         bgp in arb_bgp(),
     ) {
         let store = Hexastore::from_triples(triples);
-        let mut got = execute_bgp(&store, &bgp);
+        let mut got = planned_rows(&store, &bgp);
         got.sort();
         got.dedup();
         let expected = brute_force(&store, &bgp);
@@ -106,7 +112,7 @@ proptest! {
     ) {
         let store = Hexastore::from_triples(triples);
         let reference = {
-            let mut r = execute_bgp(&store, &bgp);
+            let mut r = planned_rows(&store, &bgp);
             r.sort();
             r.dedup();
             r
@@ -116,7 +122,7 @@ proptest! {
         let mut order: Vec<usize> = (0..k).collect();
         // Enumerate permutations (k ≤ 3 → at most 6).
         permute(&mut order, 0, &mut |perm| {
-            let mut rows = hex_query::execute_bgp_with_order(&store, &bgp, perm);
+            let mut rows = BgpCursor::new(&store, &bgp, perm).collect::<Vec<_>>();
             rows.sort();
             rows.dedup();
             assert_eq!(rows, reference, "order {perm:?}");

@@ -10,7 +10,9 @@
 //! layered merge cursors face the same oracle as the flat stores. A
 //! counting-store wrapper additionally pins down the
 //! early termination claims: ASK and LIMIT stop pulling triples as soon
-//! as the consumer has enough rows.
+//! as the consumer has enough rows. Last, outside query text — arbitrary
+//! characters or byte-level mutations of the twelve paper queries — must
+//! come back `Ok` or `Err` through parse → prepare → drain, never panic.
 
 use hex_baselines::{Covp1, Covp2, TriplesTable};
 use hex_dict::{Dictionary, Id, IdTriple};
@@ -649,13 +651,108 @@ fn parallel_distinct_limit_caps_each_shard() {
     );
 }
 
-#[test]
-fn materializing_shim_still_agrees_with_streaming() {
-    // The retained execute* shims and the Plan surface answer identically.
-    let (store, dict) = big_store_and_dict();
-    let query = format!("SELECT ?x WHERE {{ ?x {} {} . }} LIMIT 3", term_for(0), term_for(1));
-    let shim = hex_query::execute_on(&store, &dict, &query).unwrap();
-    let plan = hex_query::prepare_on(&store, &dict, &query).unwrap();
-    assert_eq!(shim.rows, plan.solutions().collect::<Vec<_>>());
-    assert_eq!(shim.vars, plan.query().vars);
+/// The twelve paper queries with the tiny generated datasets they run on,
+/// frozen so merge-group plans take the sorted-list path.
+fn paper_corpus() -> &'static [(hexastore::FrozenGraphStore, Vec<String>)] {
+    use hex_bench_queries::{barton_queries, lubm_queries, Suite};
+    use hex_datagen::{barton, lubm};
+    static CORPUS: std::sync::OnceLock<Vec<(hexastore::FrozenGraphStore, Vec<String>)>> =
+        std::sync::OnceLock::new();
+    CORPUS.get_or_init(|| {
+        let barton = Suite::build(&barton::generate(&barton::BartonConfig::tiny()));
+        let lubm = Suite::build(&lubm::generate(&lubm::LubmConfig::tiny()));
+        let texts = |queries: Option<Vec<hex_bench_queries::PaperQuery>>| -> Vec<String> {
+            queries.expect("constants resolve").into_iter().map(|q| q.text).collect()
+        };
+        vec![
+            (barton.frozen_dataset(), texts(barton_queries(&barton.dict))),
+            (lubm.frozen_dataset(), texts(lubm_queries(&lubm.dict))),
+        ]
+    })
+}
+
+/// Runs outside text through parse → prepare → explain → drain on each
+/// store, failing with the text if any stage panics. The drain stops
+/// after a bounded number of solutions, because a mutation can turn a
+/// join into a cross product; every row up to it is still walked.
+fn assert_no_panic(text: &str, stores: &[&hexastore::FrozenGraphStore]) {
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        for ds in stores {
+            if let Ok(parsed) = hex_query::parse_query(text) {
+                if let Ok(plan) = hex_query::prepare(&parsed, ds.dict(), ds.store()) {
+                    let _ = plan.explain();
+                    let _ = plan.solutions().take(2_000).count();
+                }
+            }
+        }
+    }));
+    assert!(outcome.is_ok(), "query text {text:?} panicked");
+}
+
+/// Arbitrary text: any mix of ASCII, control and multi-byte characters,
+/// or a soup of query tokens so the text gets past the first keyword.
+fn arb_query_text() -> impl Strategy<Value = String> {
+    let token = prop_oneof![
+        "SELECT|ASK|WHERE|DISTINCT|FILTER|LIMIT|OFFSET|select|where|\\*",
+        "\\{|\\}|\\(|\\)|\\.|=|!=|<|>|\"|#|\n| |  ",
+        "\\?[a-zé]{0,3}|[0-9]{1,3}|é|€|𝄞|\u{0}",
+        "<http://x/[a-z]{0,2}>|\"[a-zé]{0,3}\"(@en|\\^\\^<http://x/t>)?",
+    ];
+    prop_oneof![
+        "[\t\n -~¡-ÿĀ-ſ一-龥𐀀-𐃿]{0,40}",
+        proptest::collection::vec(token, 0..24).prop_map(|tokens| tokens.concat()),
+    ]
+}
+
+/// Applies `(pos, byte, kind)` edits to `text`. Kinds 0–2 overwrite,
+/// insert or delete the byte at `pos` (modulo the length), and invalid
+/// UTF-8 is replaced lossily, the way outside text arrives as `&str`.
+/// Other kinds drop a space-separated word, overwrite it with another or
+/// swap two: that keeps the constants intact, so more of the mutants
+/// reach the join walk.
+fn mutate(text: &str, edits: &[(usize, u8, u8)]) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    for &(pos, byte, kind) in edits {
+        let at = pos % (bytes.len() + 1);
+        match kind {
+            0 if at < bytes.len() => bytes[at] = byte,
+            1 => bytes.insert(at, byte),
+            2 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => {
+                let text = String::from_utf8_lossy(&bytes).into_owned();
+                let mut words: Vec<&str> = text.split(' ').collect();
+                let (i, j) = (pos % words.len(), (pos + usize::from(byte)) % words.len());
+                match kind {
+                    3 => {
+                        words.remove(i);
+                    }
+                    4 => words[i] = words[j],
+                    _ => words.swap(i, j),
+                }
+                bytes = words.join(" ").into_bytes();
+            }
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn arbitrary_query_text_never_panics(text in arb_query_text()) {
+        let stores: Vec<_> = paper_corpus().iter().map(|(ds, _)| ds).collect();
+        assert_no_panic(&text, &stores);
+    }
+
+    #[test]
+    fn mutated_paper_queries_never_panic(
+        query in 0usize..12,
+        edits in proptest::collection::vec((0usize..512, 0u8..=255, 0u8..6), 0..4),
+    ) {
+        let (ds, texts) = &paper_corpus()[usize::from(query >= 7)];
+        assert_no_panic(&mutate(&texts[query % texts.len()], &edits), &[ds]);
+    }
 }

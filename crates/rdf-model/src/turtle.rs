@@ -102,7 +102,9 @@ impl<'a> Parser<'a> {
     fn eat_keyword_ci(&mut self, kw: &str) -> bool {
         self.skip_ws();
         let r = self.rest();
-        if r.len() >= kw.len() && r[..kw.len()].eq_ignore_ascii_case(kw) {
+        // Compare bytes: `kw` is ASCII, so a match ends on a char boundary,
+        // while slicing the text at `kw.len()` could split a character.
+        if r.as_bytes().get(..kw.len()).is_some_and(|b| b.eq_ignore_ascii_case(kw.as_bytes())) {
             let next = r[kw.len()..].chars().next();
             if next.is_none_or(|c| c.is_whitespace() || c == '<') {
                 self.pos += kw.len();
@@ -739,5 +741,20 @@ ex:ID2 ex:worksFor "MIT" .
         assert_eq!(triples.len(), 2);
         assert_eq!(triples[0].object.as_literal().unwrap().lexical(), "5");
         assert_eq!(triples[1].object.as_literal().unwrap().lexical(), "6.5");
+    }
+
+    #[test]
+    fn keywords_never_split_a_multibyte_character() {
+        // A multi-byte character where a directive or boolean keyword's
+        // last byte would be: an error, not a slice through the char.
+        for doc in [
+            "PREFIé x",
+            "@prefié",
+            "BASé <http://x/>",
+            "@baé <http://x/>",
+            "<http://x/a> <http://x/p> trué .",
+        ] {
+            assert!(parse_turtle(doc).is_err(), "{doc:?}");
+        }
     }
 }

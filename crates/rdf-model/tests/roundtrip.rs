@@ -1,5 +1,6 @@
 //! Property-based round-trip tests: any generated triple survives
-//! serialize → parse unchanged.
+//! serialize → parse unchanged. And no outside text — arbitrary characters
+//! or byte-level mutations of written documents — panics either parser.
 
 use proptest::prelude::*;
 use rdf_model::{parse_document, write_document, Term, Triple};
@@ -67,5 +68,66 @@ proptest! {
         expected.dedup();
         parsed.sort();
         prop_assert_eq!(parsed, expected);
+    }
+}
+
+/// Arbitrary text: any mix of ASCII, control and multi-byte characters,
+/// or a soup of Turtle / N-Triples tokens so parsing gets past the first
+/// term.
+fn arb_document_text() -> impl Strategy<Value = String> {
+    let token = prop_oneof![
+        "@prefix|@base|PREFIX|BASE|prefix|true|false|a|\\.|;|,|\\[|\\]|\\(|\\)",
+        "<http://x/[a-zé]{0,2}>|<|>|_:[a-z]{0,2}|ex:[a-zé]{0,2}|ex:|:",
+        "\"[a-zé\\\\]{0,3}\"|\"\"\"|'|@en|\\^\\^|-?[0-9]{1,3}(\\.[0-9])?",
+        "é|€|𝄞|\u{0}|\\\\u00e9|\\\\U0001F600|\\\\|#| |\n",
+    ];
+    prop_oneof![
+        "[\t\n -~¡-ÿĀ-ſ一-龥𐀀-𐃿]{0,40}",
+        proptest::collection::vec(token, 0..24).prop_map(|tokens| tokens.concat()),
+    ]
+}
+
+/// Overwrites, inserts or deletes the byte at each `(pos, byte, kind)`
+/// edit's position (modulo the length); invalid UTF-8 is replaced
+/// lossily, the way outside text arrives as `&str`.
+fn mutate(doc: &str, edits: &[(usize, u8, u8)]) -> String {
+    let mut bytes = doc.as_bytes().to_vec();
+    for &(pos, byte, kind) in edits {
+        let at = pos % (bytes.len() + 1);
+        match kind {
+            0 if at < bytes.len() => bytes[at] = byte,
+            1 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => bytes.insert(at, byte),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Runs `text` through both parsers, failing with the text on a panic.
+fn assert_no_panic(text: &str) {
+    let outcome = std::panic::catch_unwind(|| {
+        let _ = rdf_model::parse_turtle(text);
+        let _ = parse_document(text);
+    });
+    assert!(outcome.is_ok(), "document text {text:?} panicked");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn arbitrary_text_never_panics_the_parsers(text in arb_document_text()) {
+        assert_no_panic(&text);
+    }
+
+    #[test]
+    fn mutated_documents_never_panic_the_parsers(
+        triples in proptest::collection::vec(arb_triple(), 1..6),
+        edits in proptest::collection::vec((0usize..1024, 0u8..=255, 0u8..3), 0..6),
+    ) {
+        assert_no_panic(&mutate(&rdf_model::write_turtle(&triples), &edits));
+        assert_no_panic(&mutate(&write_document(&triples), &edits));
     }
 }

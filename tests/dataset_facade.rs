@@ -1,7 +1,7 @@
 //! Property-based validation of the string-level [`Dataset`] facade:
 //! `Dataset::prepare(...).solutions()` must agree with the id-level
-//! oracle (`execute_bgp` over a triples table, decoded through the
-//! dictionary) across random queries on *every* store form — the mutable
+//! oracle (a `BgpCursor` walk in pattern order over a triples table,
+//! decoded through the dictionary) across random queries on *every* store form — the mutable
 //! `Hexastore`, the zero-copy `FrozenHexastore`, and both partial
 //! flavors with random kept-index subsets. This is the contract the
 //! generic facade refactor makes: one query string, any physical store,
@@ -66,18 +66,20 @@ fn subset_from_bits(bits: u8) -> IndexSet {
     keep
 }
 
-/// The id-level oracle: compile the same text, run the BGP on a plain
-/// triples table, project, and decode through the dictionary.
+/// The id-level oracle: compile the same text, walk the BGP in pattern
+/// order on a plain triples table, project, and decode through the
+/// dictionary.
 fn oracle_rows(dict: &Dictionary, triples: &[IdTriple], text: &str) -> Option<Vec<Vec<Term>>> {
     let parsed = hex_query::parse_query(text).ok()?;
     let compiled = hex_query::compile(&parsed, dict).ok()?;
     let bgp = compiled.bgp.as_ref().expect("all constants are interned");
     let table = hex_baselines::TriplesTable::from_triples(triples.iter().copied());
-    let rows = hex_query::execute_bgp(&table, bgp);
-    let projected = hex_query::exec::project(&rows, &compiled.slots);
-    let mut decoded: Vec<Vec<Term>> = projected
-        .into_iter()
-        .map(|row| row.into_iter().map(|id| dict.decode(id).unwrap().clone()).collect())
+    let order: Vec<usize> = (0..bgp.patterns.len()).collect();
+    let mut decoded: Vec<Vec<Term>> = hex_query::BgpCursor::new(&table, bgp, &order)
+        .filter_map(|row| {
+            let slots = compiled.slots.iter();
+            slots.map(|v| row[v.index()].map(|id| dict.decode(id).unwrap().clone())).collect()
+        })
         .collect();
     decoded.sort();
     Some(decoded)
