@@ -33,14 +33,6 @@ fn bench_load(c: &mut Criterion) {
     g.bench_function("hexastore_bulk_parallel4", |b| {
         b.iter(|| black_box(bulk::build_with(triples.clone(), bulk::Config::parallel(4))))
     });
-    g.bench_function("hexastore_bulk_no_presize", |b| {
-        b.iter(|| {
-            black_box(bulk::build_with(
-                triples.clone(),
-                bulk::Config { threads: 1, presize: false },
-            ))
-        })
-    });
     g.bench_function("hexastore_incremental", |b| {
         b.iter(|| {
             let mut h = Hexastore::new();

@@ -157,7 +157,7 @@ fn main() {
     write_file(&args.out, "ask_early_exit.csv", &ask_to_csv(&ask));
 
     // Snapshot formats at the same large scale: the acceptance signal
-    // for the binary hexsnap format (frozen open vs JSON rebuild).
+    // for hexsnap's slab sections (frozen open vs rebuild on open).
     let snap: SnapshotRow = snapshot_figure(args.load_triples, args.reps);
     write_file(&args.out, "snapshot.csv", &snapshot_to_csv(&snap));
 
@@ -257,12 +257,8 @@ fn main() {
     let _ = writeln!(json, "  \"snapshot\": {{");
     let _ = writeln!(json, "    \"dataset\": \"lubm\",");
     let _ = writeln!(json, "    \"triples\": {},", snap.triples);
-    let _ = writeln!(json, "    \"json_bytes\": {},", snap.json_bytes);
     let _ = writeln!(json, "    \"binary_bytes\": {},", snap.binary_bytes);
     let _ = writeln!(json, "    \"frozen_bytes\": {},", snap.frozen_bytes);
-    let _ = writeln!(json, "    \"json_save_seconds\": {},", num(snap.json_save.as_secs_f64()));
-    let _ =
-        writeln!(json, "    \"json_restore_seconds\": {},", num(snap.json_restore.as_secs_f64()));
     let _ = writeln!(json, "    \"binary_save_seconds\": {},", num(snap.binary_save.as_secs_f64()));
     let _ = writeln!(
         json,
@@ -274,8 +270,7 @@ fn main() {
         "    \"binary_rebuild_seconds\": {},",
         num(snap.binary_rebuild.as_secs_f64())
     );
-    let _ = writeln!(json, "    \"open_speedup_vs_json\": {},", num(snap.open_speedup()));
-    let _ = writeln!(json, "    \"size_ratio_vs_json\": {}", num(snap.size_ratio()));
+    let _ = writeln!(json, "    \"open_speedup_vs_rebuild\": {}", num(snap.open_speedup()));
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"live_write\": {{");
     let _ = writeln!(json, "    \"dataset\": \"lubm\",");
@@ -475,15 +470,13 @@ fn main() {
         qps.compactions
     );
     println!(
-        "snapshot {} triples: compact binary {} B vs JSON {} B ({:.1}x smaller, query-ready \
-         {} B); frozen open {:.3}s vs JSON restore {:.3}s ({:.1}x faster)",
+        "snapshot {} triples: compact binary {} B, query-ready {} B; frozen open {:.3}s vs \
+         rebuild on open {:.3}s ({:.1}x faster)",
         snap.triples,
         snap.binary_bytes,
-        snap.json_bytes,
-        snap.size_ratio(),
         snap.frozen_bytes,
         snap.binary_open.as_secs_f64(),
-        snap.json_restore.as_secs_f64(),
+        snap.binary_rebuild.as_secs_f64(),
         snap.open_speedup()
     );
     println!(

@@ -10,7 +10,7 @@
 //! repository's performance trajectory is readable at a glance and
 //! diffable in review.
 
-use serde::Value;
+use serde_json::Value;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -22,7 +22,7 @@ pub const TRAJECTORY_COLUMNS: [(&str, &[&str]); 14] = [
     ("load_speedup", &["load", "speedup"]),
     ("load_parallel_triples_per_second", &["load", "parallel_triples_per_second"]),
     ("ask_speedup", &["ask_early_exit", "speedup"]),
-    ("snapshot_open_speedup", &["snapshot", "open_speedup_vs_json"]),
+    ("snapshot_open_speedup_vs_rebuild", &["snapshot", "open_speedup_vs_rebuild"]),
     ("live_write_inserts_per_second", &["live_write", "inserts_per_second"]),
     ("qps", &["qps", "qps"]),
     ("qps_speedup", &["qps", "speedup"]),
@@ -34,22 +34,10 @@ pub const TRAJECTORY_COLUMNS: [(&str, &[&str]); 14] = [
     ("joins_chain_speedup", &["joins", "chain_speedup"]),
 ];
 
-/// Walks a `.`-free key path through nested JSON objects.
-fn lookup<'v>(value: &'v Value, path: &[&str]) -> Option<&'v Value> {
-    path.iter().try_fold(value, |v, key| match v {
-        Value::Map(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    })
-}
-
-/// Numeric view of a JSON scalar.
-fn number(value: &Value) -> Option<f64> {
-    match value {
-        Value::F64(v) => Some(*v),
-        Value::U64(v) => Some(*v as f64),
-        Value::I64(v) => Some(*v as f64),
-        _ => None,
-    }
+/// The number at a key path through nested JSON objects, if there is
+/// one.
+fn metric(value: &Value, path: &[&str]) -> Option<f64> {
+    path.iter().try_fold(value, |v, key| v.get(key)).and_then(Value::as_f64)
 }
 
 /// Keeps labels filesystem- and CSV-safe.
@@ -100,25 +88,18 @@ pub fn append_run(history_dir: &Path, json_text: &str, label: &str) -> io::Resul
 /// run in entry order. A metric absent from an entry (recorded before
 /// that figure existed) renders as an empty cell.
 pub fn trajectory_csv(history_dir: &Path) -> io::Result<String> {
+    let (runs, rows) = trajectory_table(history_dir)?;
     let mut out = String::from("# Benchmark-evidence trajectory — one row per recorded run\nrun");
     for (column, _) in TRAJECTORY_COLUMNS {
         out.push(',');
         out.push_str(column);
     }
     out.push('\n');
-    for path in entries(history_dir)? {
-        let text = std::fs::read_to_string(&path)?;
-        let value = serde_json::from_str::<Value>(&text).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: invalid JSON: {e}", path.display()),
-            )
-        })?;
-        let run = path.file_stem().and_then(|n| n.to_str()).unwrap_or("?").to_string();
-        out.push_str(&run);
-        for (_, json_path) in TRAJECTORY_COLUMNS {
+    for (run, row) in runs.iter().zip(&rows) {
+        out.push_str(run);
+        for value in row {
             out.push(',');
-            if let Some(v) = lookup(&value, json_path).and_then(number) {
+            if let Some(v) = value {
                 out.push_str(&format!("{v:.6}"));
             }
         }
@@ -146,10 +127,7 @@ fn trajectory_table(history_dir: &Path) -> io::Result<(Vec<String>, Vec<MetricRo
         })?;
         runs.push(path.file_stem().and_then(|n| n.to_str()).unwrap_or("?").to_string());
         rows.push(
-            TRAJECTORY_COLUMNS
-                .iter()
-                .map(|(_, json_path)| lookup(&value, json_path).and_then(number))
-                .collect(),
+            TRAJECTORY_COLUMNS.iter().map(|(_, json_path)| metric(&value, json_path)).collect(),
         );
     }
     Ok((runs, rows))

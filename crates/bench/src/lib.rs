@@ -180,7 +180,7 @@ pub const FIGURES: [(&str, &str); 23] = [
     ("space", "§4.1 worst-case five-fold space bound"),
     ("path", "§4.3 path expressions: merge vs sort-merge joins"),
     ("load", "Bulk-load throughput: serial vs parallel loader"),
-    ("snapshot", "Snapshot formats: binary hexsnap vs JSON (size, save, open)"),
+    ("snapshot", "Snapshot formats: compact vs query-ready hexsnap (size, save, open)"),
     ("plans", "Twelve paper queries through prepare: hand plan vs planner, stats off/on"),
     ("live_write", "Live write path: sustained WAL inserts while querying + recovery + compaction"),
     ("qps", "Concurrent serving: client threads over published snapshots vs one client (qps)"),
@@ -942,26 +942,20 @@ pub fn ask_to_csv(row: &AskRow) -> String {
     )
 }
 
-/// One snapshot-format measurement: the same graph persisted as JSON
-/// (serde shim) and as binary `hexsnap`, with the three open paths timed
-/// — JSON parse + index rebuild, binary stream + index rebuild, and the
-/// zero-rebuild frozen slab read.
+/// One snapshot-format measurement: the same graph persisted as a
+/// compact `hexsnap` (dictionary + triple column) and as a query-ready
+/// one (plus slab sections), with both open paths timed — the
+/// zero-rebuild frozen slab read and the compact file's bulk rebuild.
 #[derive(Clone, Debug)]
 pub struct SnapshotRow {
     /// Number of triples in the persisted store.
     pub triples: usize,
-    /// JSON snapshot size on disk.
-    pub json_bytes: usize,
     /// Compact binary snapshot size on disk (dictionary + triple column,
     /// indices rebuilt on open).
     pub binary_bytes: usize,
     /// Query-ready binary snapshot size on disk (plus prebuilt slab
     /// sections — the sextuple redundancy traded for zero-rebuild opens).
     pub frozen_bytes: usize,
-    /// Wall-clock to serialize + write the JSON snapshot.
-    pub json_save: Duration,
-    /// Wall-clock to read + parse + bulk-rebuild from JSON.
-    pub json_restore: Duration,
     /// Wall-clock to write the query-ready binary snapshot (with slabs).
     pub binary_save: Duration,
     /// Wall-clock to open the slab-backed binary snapshot to a
@@ -974,14 +968,10 @@ pub struct SnapshotRow {
 }
 
 impl SnapshotRow {
-    /// JSON restore time over frozen binary open time (>1: binary wins).
+    /// Rebuild-on-open time over frozen open time (>1: the slab sections
+    /// pay off).
     pub fn open_speedup(&self) -> f64 {
-        self.json_restore.as_secs_f64() / self.binary_open.as_secs_f64().max(f64::MIN_POSITIVE)
-    }
-
-    /// JSON bytes over compact binary bytes (>1: binary is smaller).
-    pub fn size_ratio(&self) -> f64 {
-        self.json_bytes as f64 / (self.binary_bytes as f64).max(f64::MIN_POSITIVE)
+        self.binary_rebuild.as_secs_f64() / self.binary_open.as_secs_f64().max(f64::MIN_POSITIVE)
     }
 }
 
@@ -999,11 +989,11 @@ fn time_op<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
 }
 
 /// Measures the snapshot figure on a LUBM dataset of `scale` triples:
-/// JSON (serde shim) vs binary `hexsnap` for bytes on disk, save and
-/// load wall-clock, and frozen-open vs rebuilt-open time. Files go
-/// through the real filesystem (temp dir) so the numbers include I/O.
+/// compact vs query-ready `hexsnap` bytes on disk, save wall-clock, and
+/// frozen-open vs rebuilt-open time. Files go through the real
+/// filesystem (temp dir) so the numbers include I/O.
 pub fn snapshot_figure(scale: usize, reps: usize) -> SnapshotRow {
-    use hexastore::{hexsnap, GraphStore, Snapshot};
+    use hexastore::{hexsnap, GraphStore};
 
     let data = lubm_dataset(scale);
     let mut dict = hex_dict::Dictionary::new();
@@ -1013,24 +1003,11 @@ pub fn snapshot_figure(scale: usize, reps: usize) -> SnapshotRow {
 
     let dir = std::env::temp_dir();
     let pid = std::process::id();
-    let json_path = dir.join(format!("hexsnap_bench_{pid}.json"));
     let bin_path = dir.join(format!("hexsnap_bench_{pid}.hexsnap"));
     let frozen_path = dir.join(format!("hexsnap_bench_{pid}_frozen.hexsnap"));
 
-    let json_save = time_op(reps, || {
-        let text = serde_json::to_string(&Snapshot::capture(&graph)).expect("snapshot serializes");
-        std::fs::write(&json_path, text).expect("write JSON snapshot");
-    });
-    let json_bytes = std::fs::metadata(&json_path).expect("JSON snapshot written").len() as usize;
-    let json_restore = time_op(reps, || {
-        let text = std::fs::read_to_string(&json_path).expect("read JSON snapshot");
-        let snap: Snapshot = serde_json::from_str(&text).expect("snapshot parses");
-        snap.into_restore().len()
-    });
-
-    // Symmetric with json_save (which pays Snapshot::capture): the
-    // timed region covers building the persisted form — freeze() — plus
-    // the write, i.e. the full "persist my in-memory graph" cost.
+    // The timed region covers building the persisted form — freeze() —
+    // plus the write, i.e. the full "persist my in-memory graph" cost.
     let binary_save = time_op(reps, || {
         let frozen = graph.store().freeze();
         hexsnap::save_frozen(&frozen_path, graph.dict(), &frozen).expect("write binary snapshot")
@@ -1047,17 +1024,13 @@ pub fn snapshot_figure(scale: usize, reps: usize) -> SnapshotRow {
     let binary_rebuild =
         time_op(reps, || hexsnap::load(&bin_path).expect("rebuild from binary snapshot").len());
 
-    std::fs::remove_file(&json_path).ok();
     std::fs::remove_file(&bin_path).ok();
     std::fs::remove_file(&frozen_path).ok();
 
     SnapshotRow {
         triples: graph.len(),
-        json_bytes,
         binary_bytes,
         frozen_bytes,
-        json_save,
-        json_restore,
         binary_save,
         binary_open,
         binary_rebuild,
@@ -1067,21 +1040,17 @@ pub fn snapshot_figure(scale: usize, reps: usize) -> SnapshotRow {
 /// Renders the snapshot measurement as a one-row CSV.
 pub fn snapshot_to_csv(row: &SnapshotRow) -> String {
     format!(
-        "# Snapshot formats — binary hexsnap vs JSON shim, lubm dataset\n\
-         triples,json_bytes,binary_bytes,frozen_bytes,json_save_s,json_restore_s,\
-         binary_save_s,binary_open_frozen_s,binary_rebuild_s,open_speedup,size_ratio\n\
-         {},{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.3},{:.3}\n",
+        "# Snapshot formats — compact vs query-ready hexsnap, lubm dataset\n\
+         triples,binary_bytes,frozen_bytes,binary_save_s,binary_open_frozen_s,\
+         binary_rebuild_s,open_speedup_vs_rebuild\n\
+         {},{},{},{:.6},{:.6},{:.6},{:.3}\n",
         row.triples,
-        row.json_bytes,
         row.binary_bytes,
         row.frozen_bytes,
-        row.json_save.as_secs_f64(),
-        row.json_restore.as_secs_f64(),
         row.binary_save.as_secs_f64(),
         row.binary_open.as_secs_f64(),
         row.binary_rebuild.as_secs_f64(),
         row.open_speedup(),
-        row.size_ratio(),
     )
 }
 
@@ -2360,16 +2329,13 @@ mod tests {
     fn snapshot_figure_measures_both_formats() {
         let row = snapshot_figure(5_000, 1);
         assert!(row.triples > 0 && row.triples <= 5_000);
-        assert!(row.json_bytes > 0 && row.binary_bytes > 0);
-        assert!(row.binary_bytes < row.json_bytes, "compact binary must beat JSON text");
+        assert!(row.binary_bytes > 0);
         assert!(row.frozen_bytes > row.binary_bytes, "slab sections cost bytes");
-        for d in
-            [row.json_save, row.json_restore, row.binary_save, row.binary_open, row.binary_rebuild]
-        {
+        for d in [row.binary_save, row.binary_open, row.binary_rebuild] {
             assert!(d > Duration::ZERO);
         }
         let csv = snapshot_to_csv(&row);
-        assert!(csv.contains("triples,json_bytes,binary_bytes"));
+        assert!(csv.contains("triples,binary_bytes,frozen_bytes"));
         assert_eq!(csv.lines().count(), 3);
     }
 

@@ -1,7 +1,6 @@
 //! `hexsnap`: the versioned little-endian binary snapshot format.
 //!
-//! The serde (JSON) [`crate::snapshot`] shim stores terms and triples as
-//! text and rebuilds all six indices on every restore. This module is the
+//! This module is the store's one persistence format and the
 //! disk-based Hexastore the paper's §7 names as future work, reduced to
 //! its essence: a columnar file whose sections are the same flat slabs
 //! the [`FrozenHexastore`] queries, so *opening* a snapshot with prebuilt

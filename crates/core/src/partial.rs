@@ -82,16 +82,13 @@ impl OwnedIndex {
     /// Append-only build from a duplicate-free run sorted by
     /// `project(kind, ·)` — the partial-store counterpart of the full
     /// loader's pair build, driven by the same shared grouping pass
-    /// ([`crate::bulk::scan_groups`]). With `presize`, headers and inner
-    /// vectors are allocated at their exact final sizes.
-    fn build_from_run(run: &[IdTriple], kind: IndexKind, presize: bool) -> OwnedIndex {
+    /// ([`crate::bulk::scan_groups`]). Headers and inner vectors are
+    /// allocated at their exact final sizes.
+    fn build_from_run(run: &[IdTriple], kind: IndexKind) -> OwnedIndex {
         use crate::bulk::{at_fn, count_distinct_adjacent, scan_groups, GroupEvent};
         let at = at_fn(run, None, move |t| project(kind, *t));
-        let mut map: VecMap<Id, VecMap<Id, Vec<Id>>> = if presize {
-            VecMap::with_capacity(count_distinct_adjacent(run, |t| project(kind, *t).0))
-        } else {
-            VecMap::new()
-        };
+        let mut map: VecMap<Id, VecMap<Id, Vec<Id>>> =
+            VecMap::with_capacity(count_distinct_adjacent(run, |t| project(kind, *t).0));
         let mut inner: VecMap<Id, Vec<Id>> = VecMap::new();
         scan_groups(run.len(), &at, |event| match event {
             GroupEvent::Header { distinct_k2, .. } => inner = VecMap::with_capacity(distinct_k2),
@@ -182,53 +179,36 @@ impl PartialHexastore {
         let threads = config.effective_threads(triples.len());
         crate::bulk::sort_dedup(&mut triples, threads);
         let len = triples.len();
-        let presize = config.presize;
         let kinds: Vec<IndexKind> = keep.iter().collect();
-        let indices: Vec<(IndexKind, OwnedIndex)> = if threads <= 1 || kinds.len() == 1 {
-            // Serial path: reuse one scratch buffer across the non-spo
-            // orderings instead of copying the batch per index.
+        // Builds a run of orderings one after another, reusing one
+        // scratch buffer across the non-spo ones instead of copying the
+        // batch per index.
+        let build_chunk = |chunk_kinds: &[IndexKind]| -> Vec<(IndexKind, OwnedIndex)> {
             let mut scratch: Option<Vec<IdTriple>> = None;
-            kinds
+            chunk_kinds
                 .iter()
                 .map(|&kind| {
                     if kind == IndexKind::Spo {
                         // The shared run is already in spo order.
-                        (kind, OwnedIndex::build_from_run(&triples, kind, presize))
+                        (kind, OwnedIndex::build_from_run(&triples, kind))
                     } else {
                         let run = scratch.get_or_insert_with(|| triples.clone());
                         run.sort_unstable_by_key(|t| project(kind, *t));
-                        (kind, OwnedIndex::build_from_run(run, kind, presize))
+                        (kind, OwnedIndex::build_from_run(run, kind))
                     }
                 })
                 .collect()
+        };
+        let indices: Vec<(IndexKind, OwnedIndex)> = if threads <= 1 || kinds.len() == 1 {
+            build_chunk(&kinds)
         } else {
             // At most `threads` workers, each building a contiguous chunk
-            // of the kept orderings sequentially with one reused scratch
-            // buffer — bounding both concurrency and the number of live
-            // batch copies at the configured budget.
+            // of the kept orderings — bounding both concurrency and the
+            // number of live batch copies at the configured budget.
             let chunk = kinds.len().div_ceil(threads.min(kinds.len()));
             std::thread::scope(|s| {
-                let tasks: Vec<_> = kinds
-                    .chunks(chunk)
-                    .map(|chunk_kinds| {
-                        let shared = &triples;
-                        s.spawn(move || {
-                            let mut scratch: Option<Vec<IdTriple>> = None;
-                            chunk_kinds
-                                .iter()
-                                .map(|&kind| {
-                                    if kind == IndexKind::Spo {
-                                        (kind, OwnedIndex::build_from_run(shared, kind, presize))
-                                    } else {
-                                        let run = scratch.get_or_insert_with(|| shared.clone());
-                                        run.sort_unstable_by_key(|t| project(kind, *t));
-                                        (kind, OwnedIndex::build_from_run(run, kind, presize))
-                                    }
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
+                let tasks: Vec<_> =
+                    kinds.chunks(chunk).map(|part| s.spawn(move || build_chunk(part))).collect();
                 tasks
                     .into_iter()
                     .flat_map(|task| task.join().expect("index build task panicked"))
@@ -538,11 +518,8 @@ mod tests {
             for &tr in &with_dups {
                 incremental.insert(tr);
             }
-            for cfg in [
-                crate::bulk::Config::serial(),
-                crate::bulk::Config::parallel(4),
-                crate::bulk::Config { threads: 2, presize: false },
-            ] {
+            for threads in [1, 2, 4] {
+                let cfg = crate::bulk::Config::parallel(threads);
                 let bulk = PartialHexastore::from_triples_with(keep, with_dups.clone(), cfg);
                 assert_eq!(bulk.len(), incremental.len(), "{keep:?} {cfg:?}");
                 assert_eq!(bulk.kept(), incremental.kept(), "{keep:?} {cfg:?}");

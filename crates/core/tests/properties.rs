@@ -128,16 +128,15 @@ proptest! {
     }
 
     /// The parallel loader is an optimization, never a semantic change:
-    /// any thread count and either presize setting must produce a store
+    /// any thread count must produce a store
     /// that answers all eight access patterns exactly like insert-order
     /// construction.
     #[test]
     fn parallel_bulk_load_equals_incremental(
         triples in proptest::collection::vec(arb_triple(), 0..200),
         threads in 1usize..9,
-        presize in (0u32..2).prop_map(|b| b == 1),
     ) {
-        let cfg = bulk::Config { threads, presize };
+        let cfg = bulk::Config::parallel(threads);
         let bulk_store = bulk::build_with(triples.clone(), cfg);
         let mut inc = Hexastore::new();
         for &t in &triples {
@@ -161,7 +160,7 @@ proptest! {
                 prop_assert_eq!(
                     bulk_store.matching(pat),
                     inc.matching(pat),
-                    "threads={} presize={} pattern {:?}", threads, presize, pat
+                    "threads={} pattern {:?}", threads, pat
                 );
                 prop_assert_eq!(bulk_store.count_matching(pat), inc.count_matching(pat));
             }
@@ -181,7 +180,7 @@ proptest! {
         let partial = PartialHexastore::from_triples_with(
             keep,
             triples.clone(),
-            bulk::Config { threads, presize: true },
+            bulk::Config::parallel(threads),
         );
         prop_assert_eq!(partial.len(), full.len());
         for &t in &triples {
